@@ -2,6 +2,12 @@
 number edge recursion, and the trivariate edge-elimination polynomial with its
 bivariate chromatic specializations.
 
+The edge recursion and the polynomial are the same three-way recursion
+(delete, contract, extract an edge), and both run on `MultiGraph` through the
+same private edge operations that back the public ones: removing copies of an
+edge, and dropping a vertex or merging it into another in one renumbering
+pass.  Each is memoized per call on the exact reduced graph.
+
 These paths are intentionally expensive; they exist to cross-check the
 triangle engine on desk-scale inputs and are guarded by vertex-count caps.
 """
@@ -38,6 +44,8 @@ class SimpleGraph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
+        if self.vertex_count < 0:
+            raise ValueError(f"vertex count {self.vertex_count} is negative")
         for u, v in self.edges:
             if not (0 <= u < v < self.vertex_count):
                 raise ValueError(f"bad edge ({u}, {v}) for {self.vertex_count} vertices")
@@ -78,10 +86,12 @@ class MultiGraph:
     artifacts; user-facing constructors reject them."""
 
     vertex_count: int
-    edges: tuple[tuple[tuple[int, int], int], ...]  # ((u, v), multiplicity), u <= v
+    edges: tuple[tuple[tuple[int, int], int], ...]  # sorted ((u, v), multiplicity), u <= v
 
     @classmethod
     def from_pairs(cls, vertex_count, pairs) -> "MultiGraph":
+        if vertex_count < 0:
+            raise ValueError(f"vertex count {vertex_count} is negative")
         counter: Counter = Counter()
         for u, v in pairs:
             if u == v:
@@ -91,22 +101,14 @@ class MultiGraph:
             counter[(min(u, v), max(u, v))] += 1
         return cls(vertex_count, tuple(sorted(counter.items())))
 
-    @classmethod
-    def _make(cls, vertex_count: int, counter: Counter) -> "MultiGraph":
-        return cls(vertex_count, tuple(sorted((e, m) for e, m in counter.items() if m > 0)))
-
-    def edge_counter(self) -> Counter:
-        return Counter(dict(self.edges))
-
-    def multiplicity(self, u: int, v: int) -> int:
-        return dict(self.edges).get((min(u, v), max(u, v)), 0)
-
     def has_loops(self) -> bool:
         return any(u == v for (u, v), _ in self.edges)
 
 
-def to_multigraph(g: SimpleGraph) -> MultiGraph:
-    return MultiGraph(g.vertex_count, tuple(((u, v), 1) for u, v in g.edge_list()))
+def _as_multigraph(g) -> MultiGraph:
+    if isinstance(g, MultiGraph):
+        return g
+    return MultiGraph(g.vertex_count, tuple((e, 1) for e in g.edge_list()))
 
 
 def ferrers_graph(shape: FerrersShape) -> SimpleGraph:
@@ -145,159 +147,130 @@ def parse_edge_list(text: str) -> SimpleGraph:
 
 
 # ---------------------------------------------------------------------------
-# the four edge operations
+# the edge operations
 # ---------------------------------------------------------------------------
 
-def _norm_edge(e) -> tuple[int, int]:
-    u, v = e
-    return (min(u, v), max(u, v))
+def _delete(g: MultiGraph, u: int, v: int, copies: int = 1) -> MultiGraph:
+    """g with `copies` copies of the present edge (u, v), u <= v, removed."""
+    edges = g.edges
+    i = next(i for i, (pair, _) in enumerate(edges) if pair == (u, v))
+    left = edges[i][1] - copies
+    kept = (((u, v), left),) if left > 0 else ()
+    return MultiGraph(g.vertex_count, edges[:i] + kept + edges[i + 1 :])
 
 
-def _compress_counter(n: int, counter: Counter, removed: set[int]) -> MultiGraph:
-    keep = [v for v in range(n) if v not in removed]
-    index = {v: i for i, v in enumerate(keep)}
-    out: Counter = Counter()
-    for (a, b), m in counter.items():
-        if a in removed or b in removed:
-            continue
-        na, nb = index[a], index[b]
-        out[(min(na, nb), max(na, nb))] += m
-    return MultiGraph._make(len(keep), out)
+def _remove_vertex(g: MultiGraph, v: int, into: int | None = None) -> MultiGraph:
+    """g without vertex v, or with v merged into vertex `into` (its edges move
+    to `into`, edges between the two become loops); higher vertices move down."""
+    merged: dict = {}
+    for (a, b), m in g.edges:
+        if a == v or b == v:
+            if into is None:
+                continue
+            a, b = (into if a == v else a), (into if b == v else b)
+            if a > b:
+                a, b = b, a
+        pair = (a - (a > v), b - (b > v))
+        merged[pair] = merged.get(pair, 0) + m
+    return MultiGraph(g.vertex_count - 1, tuple(sorted(merged.items())))
+
+
+def _contract(g: MultiGraph, u: int, v: int, copies: int = 1) -> MultiGraph:
+    """Remove copies of the edge (u, v) and merge v into u; contracting a loop
+    only deletes it."""
+    deleted = _delete(g, min(u, v), max(u, v), copies)
+    return deleted if u == v else _remove_vertex(deleted, v, into=u)
+
+
+def _extract(g: MultiGraph, u: int, v: int) -> MultiGraph:
+    """g without both endpoints of the edge (u, v), u <= v, and their edges."""
+    g = _remove_vertex(g, v)
+    return g if u == v else _remove_vertex(g, u)
+
+
+def _simple(g: MultiGraph) -> SimpleGraph:
+    return SimpleGraph(g.vertex_count, frozenset(e for e, _ in g.edges if e[0] != e[1]))
+
+
+def _edge_operation(op, g, e) -> MultiGraph:
+    u, v = sorted(e)
+    mg = _as_multigraph(g)
+    if not any(pair == (u, v) for pair, _ in mg.edges):
+        raise EdgeNotPresent(f"({u}, {v})")
+    return op(mg, u, v)
 
 
 def delete_edge(g, e):
     """Remove one copy of e; the graph kind is preserved."""
-    u, v = _norm_edge(e)
-    if isinstance(g, SimpleGraph):
-        if (u, v) not in g.edges:
-            raise EdgeNotPresent(f"({u}, {v})")
-        return SimpleGraph(g.vertex_count, g.edges - {(u, v)})
-    counter = g.edge_counter()
-    if counter[(u, v)] < 1:
-        raise EdgeNotPresent(f"({u}, {v})")
-    counter[(u, v)] -= 1
-    return MultiGraph._make(g.vertex_count, counter)
+    out = _edge_operation(_delete, g, e)
+    return _simple(out) if isinstance(g, SimpleGraph) else out
 
 
 def contract_edge(g, e) -> MultiGraph:
     """Merge the endpoints of e keeping multiplicities; extra parallel copies
     of e survive as loops at the merged vertex."""
-    u, v = _norm_edge(e)
-    counter = g.edge_counter() if isinstance(g, MultiGraph) else Counter(
-        {edge: 1 for edge in g.edges}
-    )
-    if counter[(u, v)] < 1:
-        raise EdgeNotPresent(f"({u}, {v})")
-    merged: Counter = Counter()
-    for (a, b), m in counter.items():
-        if (a, b) == (u, v):
-            if m > 1:
-                merged[(u, u)] += m - 1
-            continue
-        na = u if a == v else a
-        nb = u if b == v else b
-        merged[(min(na, nb), max(na, nb))] += m
-    return _compress_counter(g.vertex_count, merged, {v})
+    return _edge_operation(_contract, g, e)
 
 
 def simple_contract_edge(g: SimpleGraph, e) -> SimpleGraph:
     """Contract then drop loops and redundant parallel edges."""
-    contracted = contract_edge(g, e)
-    pairs = [(a, b) for (a, b), _ in contracted.edges if a != b]
-    return SimpleGraph.from_edges(contracted.vertex_count, pairs)
+    return _simple(_edge_operation(_contract, g, e))
 
 
 def extract_edge(g, e):
     """Remove both endpoints of e and every incident edge; kind preserved."""
-    u, v = _norm_edge(e)
-    if isinstance(g, SimpleGraph):
-        if (u, v) not in g.edges:
-            raise EdgeNotPresent(f"({u}, {v})")
-        keep = [w for w in range(g.vertex_count) if w not in (u, v)]
-        index = {w: i for i, w in enumerate(keep)}
-        pairs = [
-            (index[a], index[b]) for a, b in g.edges if a not in (u, v) and b not in (u, v)
-        ]
-        return SimpleGraph.from_edges(len(keep), pairs)
-    counter = g.edge_counter()
-    if counter[(u, v)] < 1:
-        raise EdgeNotPresent(f"({u}, {v})")
-    return _compress_counter(g.vertex_count, counter, {u, v})
+    out = _edge_operation(_extract, g, e)
+    return _simple(out) if isinstance(g, SimpleGraph) else out
 
 
 # ---------------------------------------------------------------------------
 # boolean number by edge recursion
 # ---------------------------------------------------------------------------
 
-def _compress_masks(masks: tuple[int, ...], removed: tuple[int, ...]) -> tuple[int, ...]:
-    keep = [v for v in range(len(masks)) if v not in removed]
-    index = {v: i for i, v in enumerate(keep)}
-    out = []
-    for v in keep:
-        m = masks[v]
-        nm = 0
-        for w in keep:
-            if m >> w & 1:
-                nm |= 1 << index[w]
-        out.append(nm)
-    return tuple(out)
-
-
-def _pivot_min_degree(masks: tuple[int, ...]) -> tuple[int, int]:
-    u = min(range(len(masks)), key=lambda v: (masks[v].bit_count(), v))
-    v = (masks[u] & -masks[u]).bit_length() - 1
-    return u, v
-
-
-def _pivot_lexicographic(masks: tuple[int, ...]) -> tuple[int, int]:
-    u = next(v for v in range(len(masks)) if masks[v])
-    v = (masks[u] & -masks[u]).bit_length() - 1
-    return u, v
-
-
-_PIVOTS = {"min-degree": _pivot_min_degree, "lex": _pivot_lexicographic}
-
-
-def _beta_masks(masks: tuple[int, ...], pivot) -> int:
-    if not masks:
+def _beta(g: MultiGraph, memo: dict) -> int:
+    cached = memo.get(g)
+    if cached is not None:
+        return cached
+    n = g.vertex_count
+    if n == 0:
         return 1
-    if any(m == 0 for m in masks):
+    degree = [0] * n
+    for (a, b), _ in g.edges:
+        degree[a] += 1
+        degree[b] += 1
+    u = min(range(n), key=degree.__getitem__)
+    if degree[u] == 0:
         return 0
-    u, v = pivot(masks)
-    deleted = list(masks)
-    deleted[u] &= ~(1 << v)
-    deleted[v] &= ~(1 << u)
-    total = _beta_masks(tuple(deleted), pivot)
-
-    merged = list(masks)
-    merged[u] = (masks[u] | masks[v]) & ~((1 << u) | (1 << v))
-    for w in range(len(masks)):
-        if w in (u, v):
-            continue
-        m = masks[w]
-        if m >> v & 1:
-            m = (m | 1 << u) & ~(1 << v)
-        merged[w] = m
-    total += _beta_masks(_compress_masks(tuple(merged), (v,)), pivot)
-
-    total += _beta_masks(_compress_masks(masks, (u, v)), pivot)
-    return total
+    # Edges are sorted, so the first one at u joins it to its lowest neighbour.
+    # Parallel copies do not change beta: every copy goes at once, and the
+    # contraction leaves no loops.
+    e, copies = next(item for item in g.edges if u in item[0])
+    v = e[1] if e[0] == u else e[0]
+    value = (
+        _beta(_delete(g, *e, copies), memo)
+        + _beta(_contract(g, u, v, copies), memo)
+        + _beta(_extract(g, *e), memo)
+    )
+    memo[g] = value
+    return value
 
 
 def beta_edge_recursion(
-    g: SimpleGraph, *, max_vertices: int = EDGE_RECURSION_VERTEX_CAP, pivot: str = "min-degree"
+    g: SimpleGraph, *, max_vertices: int = EDGE_RECURSION_VERTEX_CAP
 ) -> int:
     """beta(G) by the generic three-way edge recursion.
 
     Exponential by design; refuses graphs above the vertex cap.  The pivot
-    edge touches a minimum-degree vertex by default, which drives quickly
-    toward the isolated-vertex short circuit.
+    rule is fixed, with no option: the edge from a minimum-degree vertex
+    (lowest index on ties) to its lowest neighbour, which drives quickly
+    toward the isolated-vertex short circuit.  It shares the edge operations
+    with `xi_polynomial` and is memoized per call.
     """
     if g.vertex_count > max_vertices:
         raise GraphTooLarge(
             f"{g.vertex_count} vertices exceeds the edge-recursion cap {max_vertices}"
         )
-    return _beta_masks(g.adjacency_masks(), _PIVOTS[pivot])
+    return _beta(_as_multigraph(g), {})
 
 
 # ---------------------------------------------------------------------------
@@ -397,18 +370,13 @@ class TrivariatePolynomial:
         return " + ".join(parts)
 
 
-_X = TrivariatePolynomial.monomial(1, 1, 0, 0)
 _Y = TrivariatePolynomial.monomial(1, 0, 1, 0)
 _Z = TrivariatePolynomial.monomial(1, 0, 0, 1)
 _ONE = TrivariatePolynomial.monomial(1)
 
-# internal state for the recursion: (vertex_count, sorted ((u, v), mult) tuple)
-_State = tuple[int, tuple[tuple[tuple[int, int], int], ...]]
 
-
-def _state_components(state: _State) -> list[_State]:
-    n, edges = state
-    parent = list(range(n))
+def _components(g: MultiGraph) -> list[MultiGraph]:
+    parent = list(range(g.vertex_count))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -416,97 +384,42 @@ def _state_components(state: _State) -> list[_State]:
             a = parent[a]
         return a
 
-    for (u, v), _ in edges:
+    for (u, v), _ in g.edges:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[ru] = rv
     groups: dict[int, list[int]] = {}
-    for v in range(n):
+    for v in range(g.vertex_count):
         groups.setdefault(find(v), []).append(v)
     comps = []
     for members in sorted(groups.values()):
         index = {v: i for i, v in enumerate(members)}
-        sub = tuple(
-            sorted(((index[a], index[b]), m) for (a, b), m in edges if a in index)
-        )
-        comps.append((len(members), sub))
+        sub = tuple(((index[a], index[b]), m) for (a, b), m in g.edges if a in index)
+        comps.append(MultiGraph(len(members), sub))
     return comps
 
 
-def _state_without_vertex(state: _State, gone: int) -> _State:
-    n, edges = state
-    index = {v: (v if v < gone else v - 1) for v in range(n) if v != gone}
-    sub = tuple(
-        sorted(
-            ((index[a], index[b]), m)
-            for (a, b), m in edges
-            if a != gone and b != gone
-        )
-    )
-    return (n - 1, sub)
-
-
-def _xi_state(state: _State, memo: dict) -> TrivariatePolynomial:
-    cached = memo.get(state)
+def _xi(g: MultiGraph, memo: dict) -> TrivariatePolynomial:
+    cached = memo.get(g)
     if cached is not None:
         return cached
-    n, edges = state
-    if not edges:
-        poly = TrivariatePolynomial.monomial(1, n, 0, 0)
-        memo[state] = poly
-        return poly
-    comps = _state_components(state)
+    if not g.edges:
+        return TrivariatePolynomial.monomial(1, g.vertex_count, 0, 0)
+    comps = _components(g)
     if len(comps) > 1:
         poly = _ONE
         for comp in comps:
-            poly = poly * _xi_state(comp, memo)
-        memo[state] = poly
-        return poly
-
-    loops = [(e, m) for e, m in edges if e[0] == e[1]]
-    if loops:
-        # A loop deletes or contracts to the same graph (weight 1 + y) and
-        # extracts to the graph without its vertex.
-        (v, _), _m = loops[0]
-        counter = Counter(dict(edges))
-        counter[(v, v)] -= 1
-        rest = (n, tuple(sorted((e, m) for e, m in counter.items() if m > 0)))
-        poly = (_ONE + _Y) * _xi_state(rest, memo) + _Z * _xi_state(
-            _state_without_vertex(state, v), memo
+            poly = poly * _xi(comp, memo)
+    else:
+        # Loops first, then the most parallel edge; the lowest pair on ties.
+        # A loop contracts to its deletion, so its first two terms share a graph.
+        (u, v), _ = min(g.edges, key=lambda item: (item[0][0] != item[0][1], -item[1]))
+        poly = (
+            _xi(_delete(g, u, v), memo)
+            + _Y * _xi(_contract(g, u, v), memo)
+            + _Z * _xi(_extract(g, u, v), memo)
         )
-        memo[state] = poly
-        return poly
-
-    max_mult = max(m for _, m in edges)
-    (u, v), mult = min((e, m) for e, m in edges if m == max_mult)
-
-    counter = Counter(dict(edges))
-    counter[(u, v)] -= 1
-    deleted = (n, tuple(sorted((e, m) for e, m in counter.items() if m > 0)))
-
-    merged: Counter = Counter()
-    for (a, b), m in edges:
-        if (a, b) == (u, v):
-            if m > 1:
-                merged[(u, u)] += m - 1
-            continue
-        na = u if a == v else a
-        nb = u if b == v else b
-        merged[(min(na, nb), max(na, nb))] += m
-    index = {w: (w if w < v else w - 1) for w in range(n) if w != v}
-    contracted = (
-        n - 1,
-        tuple(sorted(((index[a], index[b]), m) for (a, b), m in merged.items())),
-    )
-
-    extracted = _state_without_vertex(_state_without_vertex(state, v), u)
-
-    poly = (
-        _xi_state(deleted, memo)
-        + _Y * _xi_state(contracted, memo)
-        + _Z * _xi_state(extracted, memo)
-    )
-    memo[state] = poly
+    memo[g] = poly
     return poly
 
 
@@ -520,14 +433,9 @@ def xi_polynomial(g) -> TrivariatePolynomial:
     the graph without its vertex, the standard convention for this recursion.
     Memoized per call on the exact reduced form; no global state.
     """
-    if isinstance(g, SimpleGraph):
-        mg = to_multigraph(g)
-    else:
-        mg = g
-        if mg.has_loops():
-            raise ValueError("input graph must be loop-free")
-    state: _State = (mg.vertex_count, tuple(sorted(mg.edges)))
-    return _xi_state(state, {})
+    if isinstance(g, MultiGraph) and g.has_loops():
+        raise ValueError("input graph must be loop-free")
+    return _xi(_as_multigraph(g), {})
 
 
 def beta_via_xi(g: SimpleGraph) -> int:

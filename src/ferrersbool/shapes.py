@@ -117,18 +117,6 @@ def parse_shape(text: str) -> FerrersShape:
     return FerrersShape(tuple(rows))
 
 
-def transpose(shape: FerrersShape) -> FerrersShape:
-    return shape.transpose()
-
-
-def drop_last_row(shape: FerrersShape) -> FerrersShape:
-    return shape.drop_last_row()
-
-
-def shift(shape: FerrersShape, t: int) -> FerrersShape:
-    return shape.shift(t)
-
-
 def staircase(height: int, steplength: int = 1) -> FerrersShape:
     """The shape (h*d, (h-1)*d, ..., 2d, d)."""
     if height < 1 or steplength < 1:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ferrersbool import rectangle
 from ferrersbool.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
 
 
@@ -81,6 +82,34 @@ def test_beta_graph_isolated_vertex(capsys, tmp_path):
     path.write_text("3 1\n0 1\n")
     code, out, _ = run(capsys, "beta", "--graph", str(path))
     assert code == EXIT_OK and out.strip() == "0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("beta", "--method", "edge"),
+        ("beta", "--method", "rank"),
+        ("beta", "--method", "xi"),
+        ("complex",),
+    ],
+)
+def test_graph_negative_vertex_count(capsys, tmp_path, argv):
+    path = tmp_path / "negative.txt"
+    path.write_text("-1 0\n")
+    code, out, err = run(capsys, argv[0], "--graph", str(path), *argv[1:])
+    assert code == EXIT_INPUT and out == ""
+    assert "input error" in err and "Traceback" not in err
+
+
+def test_beta_prints_values_past_4300_digits(capsys):
+    shape = str(rectangle(2, 20000))
+    code, out, _ = run(capsys, "beta", "--shape", shape)
+    assert code == EXIT_OK
+    # main lifted the int-to-str digit limit, so the test can format too
+    expected = str(2**20001 - 3)
+    assert len(expected) == 6021 and out.strip() == expected
+    code, out, _ = run(capsys, "beta", "--shape", shape, "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["beta"] == expected
 
 
 def test_triangle_tsv(capsys):

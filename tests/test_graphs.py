@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -101,11 +102,19 @@ def test_beta_edge_recursion_cap():
     assert beta_edge_recursion(big, max_vertices=14) == beta_triangle(parse_shape("12,1"))
 
 
-def test_edge_recursion_pivot_order_independence(atlas_graphs):
+def test_edge_recursion_relabelling_invariance(atlas_graphs):
+    # The pivot is a minimum-degree vertex, lowest index on ties, so
+    # relabelling moves it; beta must not depend on that choice.
+    rng = random.Random(20080815)
     for g in atlas_up_to(atlas_graphs, 6):
-        assert beta_edge_recursion(g, pivot="min-degree") == beta_edge_recursion(
-            g, pivot="lex"
-        )
+        expected = beta_edge_recursion(g)
+        for _ in range(3):
+            perm = list(range(g.vertex_count))
+            rng.shuffle(perm)
+            relabelled = SimpleGraph.from_edges(
+                g.vertex_count, [(perm[u], perm[v]) for u, v in g.edges]
+            )
+            assert beta_edge_recursion(relabelled) == expected
 
 
 def test_xi_base_cases():
@@ -210,6 +219,15 @@ def test_parse_edge_list():
         parse_edge_list("")
     with pytest.raises(ValueError):
         parse_edge_list("2 1\n1 1\n")
+
+
+def test_negative_vertex_count_rejected():
+    with pytest.raises(ValueError):
+        parse_edge_list("-1 0")
+    with pytest.raises(ValueError):
+        SimpleGraph(-1, frozenset())
+    with pytest.raises(ValueError):
+        MultiGraph.from_pairs(-1, [])
 
 
 def test_trivariate_polynomial_algebra():
