@@ -43,6 +43,17 @@ EXIT_VERIFY = 3
 VERIFY_CELLS_CAP = 12
 
 
+class InputError(Exception):
+    """Invalid command-line input; main reports it on one line with exit 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that raises InputError instead of printing usage."""
+
+    def error(self, message: str):
+        raise InputError(message)
+
+
 @dataclass(frozen=True)
 class OracleCaps:
     """Vertex budgets for the exhaustive oracles and the edge recursion."""
@@ -90,8 +101,7 @@ def _beta_for_graph(g: graphs.SimpleGraph, method: str, caps: OracleCaps) -> int
 def cmd_beta(args: argparse.Namespace) -> int:
     caps = _caps_from(args)
     if (args.shape is None) == (args.graph is None):
-        print("beta needs exactly one of --shape or --graph", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("beta needs exactly one of --shape or --graph")
     if args.shape is not None:
         shape = parse_shape(args.shape)
         method = args.method or "triangle"
@@ -106,8 +116,7 @@ def cmd_beta(args: argparse.Namespace) -> int:
         g = _load_graph(args.graph)
         method = args.method or "edge"
         if method in ("triangle", "row"):
-            print(f"method {method!r} does not apply to --graph input", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputError(f"method {method!r} does not apply to --graph input")
         value = _beta_for_graph(g, method, caps)
         label = args.graph
     if args.format == "json":
@@ -138,10 +147,9 @@ def _sequence_rows(args: argparse.Namespace) -> list[tuple[int, ...]]:
             for r in range(1, args.count + 1)
         ]
     # legendre-stirling: one output line per (i, j) cell, row by row
-    rows = args.rows if args.rows is not None else args.count
     out = []
     idx = 0
-    for i in range(1, rows + 1):
+    for i in range(1, args.count + 1):
         for j in range(1, i + 1):
             idx += 1
             out.append((idx, i, j, sequences.legendre_stirling(i, j)))
@@ -150,8 +158,7 @@ def _sequence_rows(args: argparse.Namespace) -> list[tuple[int, ...]]:
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     if args.count < 1:
-        print("--count must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--count must be >= 1")
     rows = _sequence_rows(args)
     sep = "\t" if args.format == "tsv" else " "
     for row in rows:
@@ -165,8 +172,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 def cmd_complex(args: argparse.Namespace) -> int:
     caps = _caps_from(args)
     if (args.shape is None) == (args.graph is None):
-        print("complex needs exactly one of --shape or --graph", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("complex needs exactly one of --shape or --graph")
     if args.shape is not None:
         g = graphs.ferrers_graph(parse_shape(args.shape))
     else:
@@ -193,12 +199,37 @@ def _check_triangle_structure(shape: FerrersShape) -> str | None:
     return None
 
 
+# The sequence identities: (name, detail, check).
+SEQUENCE_IDENTITIES = (
+    ("staircase-genocchi", "heights 1..8", lambda: all(
+        triangle.beta_triangle(staircase(r, 1)) == sequences.genocchi2(r)
+        == sequences.beta_staircase_closed(r) for r in range(1, 9))),
+    ("legendre-stirling-triangle", "i <= 8", lambda: all(
+        sequences.legendre_stirling(i, j) == sequences.legendre_stirling_via_triangle(i, j)
+        for i in range(1, 9) for j in range(1, i + 1))),
+    ("genocchi-ls-identity", "r <= 10", lambda: all(
+        lhs == rhs for lhs, rhs in map(sequences.genocchi_ls_identity, range(1, 11)))),
+    ("complete-bipartite", "r, k <= 5", lambda: all(
+        sequences.beta_complete_bipartite(r, k) == triangle.beta_triangle(rectangle(r, k))
+        for r in range(1, 6) for k in range(1, 6))),
+    ("staircase-column-gf", "j <= 3, d <= 2", lambda: all(
+        a == b for j in range(1, 4) for d in range(1, 3)
+        for a, b in [sequences.chat_gf_check(j, d, 8)])),
+)  # fmt: skip
+
+
 def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
-    """Cross-check every method and identity; returns (status, name, detail) rows."""
+    """Cross-check every method and identity; returns (status, name, detail) rows.
+
+    One pass over the shape universe runs every per-shape check.  Each shape's
+    triangle value serves the method comparison, the zero-row rule and the
+    transpose check; the row-structure walk and the cost census run beside them.
+    """
     results: list[tuple[str, str, str]] = []
     universe = sorted(enumerate_shapes(cells, allow_zero_rows=True), key=lambda s: s.rows)
 
     failures = []
+    first_bad: dict[str, str] = {}  # check name -> its first counterexample
     skipped_rank = 0
     skipped_edge = 0
     for shape in universe:
@@ -218,6 +249,16 @@ def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
                 failures.append(f"rank disagrees on {shape}")
         else:
             skipped_rank += 1
+        if (expected == 0) != shape.has_zero_row:
+            first_bad.setdefault("beta-zero-iff-zero-row", f"counterexample {shape}")
+        if problem := _check_triangle_structure(shape):
+            first_bad.setdefault("triangle-structure", problem)
+        if not shape.has_zero_row and triangle.beta_triangle(shape.transpose()) != expected:
+            first_bad.setdefault("transpose-invariance", f"counterexample {shape}")
+        _, report = triangle.instrumented_gamma(shape)
+        if report.multiplications != report.predicted:
+            first_bad.setdefault("cost-instrumentation", f"counterexample {shape}")
+
     detail = (
         f"{len(universe)} shapes, {skipped_rank} rank-skipped, {skipped_edge} edge-skipped"
     )
@@ -227,83 +268,18 @@ def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
         results.append(("PASS", "beta-methods-agree", detail))
     if skipped_rank or skipped_edge:
         results.append(("SKIP", "beta-methods-capped", detail))
+    counted = f"{len(universe)} shapes"
+    for name, passed in (
+        ("beta-zero-iff-zero-row", counted),
+        ("triangle-structure", counted),
+        ("transpose-invariance", "positive shapes in universe"),
+        ("cost-instrumentation", counted),
+    ):
+        bad = first_bad.get(name)
+        results.append(("FAIL", name, bad) if bad else ("PASS", name, passed))
 
-    bad = [s for s in universe if (triangle.beta_triangle(s) == 0) != s.has_zero_row]
-    results.append(
-        ("FAIL", "beta-zero-iff-zero-row", f"counterexample {bad[0]}")
-        if bad
-        else ("PASS", "beta-zero-iff-zero-row", f"{len(universe)} shapes")
-    )
-
-    structure_bad = None
-    for shape in universe:
-        structure_bad = _check_triangle_structure(shape)
-        if structure_bad:
-            break
-    results.append(
-        ("FAIL", "triangle-structure", structure_bad)
-        if structure_bad
-        else ("PASS", "triangle-structure", f"{len(universe)} shapes")
-    )
-
-    transpose_bad = [
-        s
-        for s in universe
-        if not s.has_zero_row
-        and triangle.beta_triangle(s.transpose()) != triangle.beta_triangle(s)
-    ]
-    results.append(
-        ("FAIL", "transpose-invariance", f"counterexample {transpose_bad[0]}")
-        if transpose_bad
-        else ("PASS", "transpose-invariance", "positive shapes in universe")
-    )
-
-    cost_bad = []
-    for shape in universe:
-        _, report = triangle.instrumented_gamma(shape)
-        if report.multiplications != report.predicted:
-            cost_bad.append(str(shape))
-    results.append(
-        ("FAIL", "cost-instrumentation", f"counterexample {cost_bad[0]}")
-        if cost_bad
-        else ("PASS", "cost-instrumentation", f"{len(universe)} shapes")
-    )
-
-    ok = all(
-        triangle.beta_triangle(staircase(r, 1))
-        == sequences.genocchi2(r)
-        == sequences.beta_staircase_closed(r)
-        for r in range(1, 9)
-    )
-    results.append(
-        ("PASS" if ok else "FAIL", "staircase-genocchi", "heights 1..8")
-    )
-
-    ok = all(
-        sequences.legendre_stirling(i, j) == sequences.legendre_stirling_via_triangle(i, j)
-        for i in range(1, 9)
-        for j in range(1, i + 1)
-    )
-    results.append(("PASS" if ok else "FAIL", "legendre-stirling-triangle", "i <= 8"))
-
-    ok = all(lhs == rhs for lhs, rhs in (sequences.genocchi_ls_identity(r) for r in range(1, 11)))
-    results.append(("PASS" if ok else "FAIL", "genocchi-ls-identity", "r <= 10"))
-
-    ok = all(
-        sequences.beta_complete_bipartite(r, k) == triangle.beta_triangle(rectangle(r, k))
-        for r in range(1, 6)
-        for k in range(1, 6)
-    )
-    results.append(("PASS" if ok else "FAIL", "complete-bipartite", "r, k <= 5"))
-
-    ok = True
-    for j in range(1, 4):
-        for d in range(1, 3):
-            series_a, series_b = sequences.chat_gf_check(j, d, 8)
-            if series_a != series_b:
-                ok = False
-    results.append(("PASS" if ok else "FAIL", "staircase-column-gf", "j <= 3, d <= 2"))
-
+    for name, detail, holds in SEQUENCE_IDENTITIES:
+        results.append(("PASS" if holds() else "FAIL", name, detail))
     return results
 
 
@@ -316,8 +292,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         )
         return EXIT_CAP
     if args.cells < 1:
-        print("--cells must be >= 1", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("--cells must be >= 1")
     results = run_verify(args.cells, caps)
     for status, name, detail in results:
         print(f"{status} {name} ({detail})")
@@ -365,13 +340,11 @@ def cmd_bench(args: argparse.Namespace) -> int:
     shapes: list[FerrersShape] = [parse_shape(text) for text in args.shape or []]
     if args.count:
         if not args.cells or args.cells < 1:
-            print("--count needs --cells for random shapes", file=sys.stderr)
-            return EXIT_INPUT
+            raise InputError("--count needs --cells for random shapes")
         rng = random.Random(args.seed)
         shapes.extend(random_shape(args.cells, rng) for _ in range(args.count))
     if not shapes:
-        print("bench needs --shape and/or --count with --cells", file=sys.stderr)
-        return EXIT_INPUT
+        raise InputError("bench needs --shape and/or --count with --cells")
     print("shape\tcells\trows\torientation\tpredicted\tmultiplications\tcheck\tt_triangle\tt_edge")
     all_match = True
     for shape in shapes:
@@ -392,7 +365,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ferrersbool",
         description="Boolean numbers of Ferrers graphs: exact computation, "
         "cross-verification, and cost benchmarking.",
@@ -421,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
         "which", choices=["genocchi2", "legendre-stirling", "beta-staircase"]
     )
     p_seq.add_argument("--count", type=int, default=10)
-    p_seq.add_argument("--rows", type=int, help="triangle rows for legendre-stirling")
     p_seq.add_argument("--steplength", type=int, default=1)
     p_seq.add_argument("--format", choices=["tsv", "bfile"], default="tsv")
     p_seq.set_defaults(func=cmd_sequence)
@@ -453,13 +425,13 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except graphs.GraphTooLarge as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ShapeError, ValueError, OSError) as exc:
+    except (InputError, ShapeError, ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

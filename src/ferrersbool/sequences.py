@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 from .shapes import FerrersShape, staircase
-from .triangle import final_row_values, iter_row_values
+from .triangle import iter_row_values
 
 
 class NonIntegerResult(ArithmeticError):
@@ -43,7 +43,8 @@ def legendre_stirling_via_triangle(i: int, j: int) -> int:
     (-1)**(i+j) * c(i, j) / (j! (j-1)!) for the unit staircase of height i."""
     if not 1 <= j <= i:
         raise ValueError("need 1 <= j <= i")
-    row = final_row_values(staircase(i, 1))
+    for row in iter_row_values(staircase(i, 1)):
+        pass
     value = Fraction(
         (-1) ** (i + j) * row[j], math.factorial(j) * math.factorial(j - 1)
     )

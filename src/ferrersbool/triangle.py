@@ -9,6 +9,10 @@ with the convention 0**0 = 1 (Python's pow already honours it).  The boolean
 number is sum_j c(r, j) * j**Lr, again with 0**0 = 1, so a zero bottom row
 yields the row sum, which is zero.
 
+Every consumer reads the rows from one stream, ``iter_row_values``, which is
+the only caller of the row update: ``beta_triangle`` and the cost census keep
+only its current row, ``coefficient_triangle`` keeps them all.
+
 Everything here is exact integer arithmetic; the entries grow exponentially
 with the row index, so fixed-width arithmetic is never used.
 """
@@ -42,9 +46,6 @@ class Triangle:
     shape: FerrersShape
     rows: tuple[CoefficientRow, ...]
 
-    def last_row(self) -> CoefficientRow:
-        return self.rows[-1]
-
 
 @dataclass(frozen=True)
 class CostReport:
@@ -66,10 +67,6 @@ def next_values(prev: tuple[int, ...], d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def next_row(prev: CoefficientRow, d: int) -> CoefficientRow:
-    return CoefficientRow(prev.index + 1, next_values(prev.values, d))
-
-
 def iter_row_values(shape: FerrersShape) -> Iterator[tuple[int, ...]]:
     """Stream row values 1..r without materializing the whole triangle."""
     row = FIRST_ROW
@@ -77,13 +74,6 @@ def iter_row_values(shape: FerrersShape) -> Iterator[tuple[int, ...]]:
     for d in shape.differences():
         row = next_values(row, d)
         yield row
-
-
-def final_row_values(shape: FerrersShape) -> tuple[int, ...]:
-    row = FIRST_ROW
-    for d in shape.differences():
-        row = next_values(row, d)
-    return row
 
 
 def coefficient_triangle(shape: FerrersShape) -> Triangle:
@@ -95,8 +85,10 @@ def coefficient_triangle(shape: FerrersShape) -> Triangle:
 
 def beta_triangle(shape: FerrersShape) -> int:
     """Boolean number via the triangle: sum_j c(r, j) * j**Lr with 0**0 = 1."""
+    for row in iter_row_values(shape):
+        pass
     bottom = shape.rows[-1]
-    return sum(c * j**bottom for j, c in enumerate(final_row_values(shape)))
+    return sum(c * j**bottom for j, c in enumerate(row))
 
 
 def predicted_cost(shape: FerrersShape) -> int:
@@ -106,38 +98,19 @@ def predicted_cost(shape: FerrersShape) -> int:
     )
 
 
-def _pow_counted(base: int, exp: int) -> tuple[int, int]:
-    # Iterated multiplication, the accounting the cost recursion assumes:
-    # exp - 1 multiplications for exp >= 1, none for exp in {0, 1}.
-    if exp == 0:
-        return 1, 0
-    result = base
-    for _ in range(exp - 1):
-        result *= base
-    return result, exp - 1
-
-
 def instrumented_gamma(shape: FerrersShape) -> tuple[CoefficientRow, CostReport]:
     """Final triangle row plus the multiplication census of computing it.
 
-    Each update term a * b**d * c is charged d+1 multiplications when d >= 1
-    (d-1 for the power, two for the products) and a single multiplication
-    when d = 0, which makes every row i cost exactly 2*(i+1)*(d_i+1).
+    The census applies the paper's cost model to the rows the kernel streams.
+    Each update term a * b**d * c is charged d+1 multiplications: d-1 for the
+    power by repeated multiplication and two for the products when d >= 1, a
+    single product when d = 0.  Row i has i+1 entries of two terms each, so it
+    is charged 2*(i+1)*(d_i+1); the closed form sums exactly these charges.
     """
+    rows = iter_row_values(shape)
+    row = next(rows)
     muls = 0
-    row = FIRST_ROW
-    for d in shape.differences():
-        new = []
-        for j in range(len(row) + 1):
-            left = row[j - 1] if j >= 1 else 0
-            right = row[j] if j < len(row) else 0
-            p1, extra1 = _pow_counted(j - 1, d)
-            term1 = j * p1 * left
-            muls += extra1 + (2 if d >= 1 else 1)
-            p2, extra2 = _pow_counted(j, d)
-            term2 = (j + 1) * p2 * right
-            muls += extra2 + (2 if d >= 1 else 1)
-            new.append(term1 - term2)
-        row = tuple(new)
+    for d, row in zip(shape.differences(), rows):
+        muls += 2 * len(row) * (d + 1)
     report = CostReport(multiplications=muls, predicted=predicted_cost(shape))
     return CoefficientRow(len(row) - 1, row), report

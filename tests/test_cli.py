@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from ferrersbool import rectangle
-from ferrersbool.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, main
+from ferrersbool import rectangle, recursion, triangle
+from ferrersbool.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 
 
 def run(capsys, *argv):
@@ -142,9 +142,27 @@ def test_sequence_bfile(capsys):
 
 
 def test_sequence_legendre_stirling(capsys):
-    code, out, _ = run(capsys, "sequence", "legendre-stirling", "--rows", "2")
+    code, out, _ = run(capsys, "sequence", "legendre-stirling", "--count", "2")
     assert code == EXIT_OK
     assert out.splitlines() == ["1\t1\t1\t1", "2\t2\t1\t2", "3\t2\t2\t1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("frob",),
+        ("beta", "--shape", "1", "--method", "foo"),
+        ("sequence", "genocchi2", "--count", "x"),
+        ("triangle",),
+        ("sequence", "legendre-stirling", "--rows", "2"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error:")
+    assert "Traceback" not in err
 
 
 def test_sequence_bad_count(capsys):
@@ -163,12 +181,45 @@ def test_complex_cap(capsys):
     assert code == EXIT_CAP
 
 
+VERIFY_CHECKS = [
+    "beta-methods-agree",
+    "beta-zero-iff-zero-row",
+    "triangle-structure",
+    "transpose-invariance",
+    "cost-instrumentation",
+    "staircase-genocchi",
+    "legendre-stirling-triangle",
+    "genocchi-ls-identity",
+    "complete-bipartite",
+    "staircase-column-gf",
+]
+
+
 def test_verify_passes(capsys):
     code, out, _ = run(capsys, "verify", "--cells", "6")
     assert code == EXIT_OK
     lines = out.splitlines()
-    assert any(line.startswith("PASS beta-methods-agree") for line in lines)
-    assert all(not line.startswith("FAIL") for line in lines)
+    assert [line.split()[1] for line in lines] == VERIFY_CHECKS
+    assert all(line.startswith("PASS ") for line in lines)
+
+
+def test_verify_fails_on_wrong_row_recursion(capsys, monkeypatch):
+    right = recursion.beta_row_recursion
+    monkeypatch.setattr(recursion, "beta_row_recursion", lambda shape: right(shape) + 1)
+    code, out, _ = run(capsys, "verify", "--cells", "3")
+    assert code == EXIT_VERIFY
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL beta-methods-agree (row disagrees on ")
+
+
+def test_verify_fails_on_wrong_cost_model(capsys, monkeypatch):
+    right = triangle.predicted_cost
+    monkeypatch.setattr(triangle, "predicted_cost", lambda shape: right(shape) + 1)
+    code, out, _ = run(capsys, "verify", "--cells", "3")
+    assert code == EXIT_VERIFY
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL cost-instrumentation (counterexample 0)"]
 
 
 def test_verify_reports_skips_above_rank_cap(capsys):

@@ -2,11 +2,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ferrersbool import (
-    CoefficientRow,
     beta_triangle,
     coefficient_triangle,
     instrumented_gamma,
-    next_row,
     parse_shape,
     predicted_cost,
     staircase,
@@ -24,11 +22,6 @@ def test_next_values_examples():
     assert next_values((-1, 1), 0) == (1, -3, 2)
     assert next_values((-1, 1), 1) == (0, -2, 2)
     assert next_values((0, 4, -16, 12), 1) == (0, -8, 104, -240, 144)
-
-
-def test_next_row_wraps_values():
-    row = next_row(CoefficientRow(1, (-1, 1)), 0)
-    assert row.index == 2 and row.values == (1, -3, 2)
 
 
 def test_reference_triangles():
