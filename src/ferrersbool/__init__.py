@@ -51,19 +51,16 @@ from .shapes import (
     staircase,
 )
 from .triangle import (
-    CoefficientRow,
     CostReport,
-    Triangle,
     beta_triangle,
-    coefficient_triangle,
     instrumented_gamma,
+    iter_row_values,
     predicted_cost,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CoefficientRow",
     "CostReport",
     "EdgeNotPresent",
     "EmptyShape",
@@ -78,7 +75,6 @@ __all__ = [
     "ShiftTooNegative",
     "SimpleGraph",
     "TooFewRows",
-    "Triangle",
     "TrivariatePolynomial",
     "WordClass",
     "beta_complete_bipartite",
@@ -92,7 +88,6 @@ __all__ = [
     "bivariate_chromatic_count",
     "canonical_form",
     "chat_gf_check",
-    "coefficient_triangle",
     "contract_edge",
     "delete_edge",
     "enumerate_shapes",
@@ -101,6 +96,7 @@ __all__ = [
     "genocchi2",
     "genocchi_ls_identity",
     "instrumented_gamma",
+    "iter_row_values",
     "legendre_stirling",
     "legendre_stirling_via_triangle",
     "parse_edge_list",

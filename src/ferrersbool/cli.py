@@ -23,6 +23,7 @@ import random
 import sys
 import time
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import boolcomplex, graphs, recursion, sequences, triangle
 from .shapes import (
@@ -128,44 +129,44 @@ def cmd_beta(args: argparse.Namespace) -> int:
 
 def cmd_triangle(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
-    tri = triangle.coefficient_triangle(shape)
+    rows = triangle.iter_row_values(shape)
     if args.format == "json":
-        payload = [[str(c) for c in row.values] for row in tri.rows]
-        print(_dump_json(payload))
+        lead = "["
+        for row in rows:
+            print(lead + _dump_json([str(c) for c in row]), end="")
+            lead = ","
+        print("]")
     else:
-        for row in tri.rows:
-            print("\t".join(str(c) for c in row.values))
+        for row in rows:
+            print("\t".join(str(c) for c in row))
     return EXIT_OK
 
 
-def _sequence_rows(args: argparse.Namespace) -> list[tuple[int, ...]]:
+def _sequence_rows(args: argparse.Namespace) -> Iterator[tuple[int, ...]]:
     if args.which == "genocchi2":
-        return [(r, sequences.genocchi2(r)) for r in range(1, args.count + 1)]
+        return enumerate(sequences.genocchi2_values(args.count), start=1)
     if args.which == "beta-staircase":
-        return [
-            (r, triangle.beta_triangle(staircase(r, args.steplength)))
-            for r in range(1, args.count + 1)
-        ]
+        steplength = 1 if args.steplength is None else args.steplength
+        return enumerate(sequences.beta_staircases(args.count, steplength), start=1)
     # legendre-stirling: one output line per (i, j) cell, row by row
-    out = []
-    idx = 0
-    for i in range(1, args.count + 1):
-        for j in range(1, i + 1):
-            idx += 1
-            out.append((idx, i, j, sequences.legendre_stirling(i, j)))
-    return out
+    cells = (
+        (i, j, value)
+        for i, row in enumerate(sequences.rescaled_staircase_rows(args.count), start=1)
+        for j, value in enumerate(row, start=1)
+    )
+    return ((idx, *cell) for idx, cell in enumerate(cells, start=1))
 
 
 def cmd_sequence(args: argparse.Namespace) -> int:
     if args.count < 1:
         raise InputError("--count must be >= 1")
-    rows = _sequence_rows(args)
-    sep = "\t" if args.format == "tsv" else " "
-    for row in rows:
+    if args.steplength is not None and args.which != "beta-staircase":
+        raise InputError("--steplength applies only to beta-staircase")
+    for row in _sequence_rows(args):
         if args.format == "bfile":
             print(f"{row[0]} {row[-1]}")
         else:
-            print(sep.join(str(x) for x in row))
+            print("\t".join(str(x) for x in row))
     return EXIT_OK
 
 
@@ -202,11 +203,13 @@ def _check_triangle_structure(shape: FerrersShape) -> str | None:
 # The sequence identities: (name, detail, check).
 SEQUENCE_IDENTITIES = (
     ("staircase-genocchi", "heights 1..8", lambda: all(
-        triangle.beta_triangle(staircase(r, 1)) == sequences.genocchi2(r)
-        == sequences.beta_staircase_closed(r) for r in range(1, 9))),
+        triangle.beta_triangle(staircase(r, 1)) == beta == g == sequences.beta_staircase_closed(r)
+        for r, beta, g in zip(range(1, 9), sequences.beta_staircases(8),
+                              sequences.genocchi2_values(8), strict=True))),
     ("legendre-stirling-triangle", "i <= 8", lambda: all(
-        sequences.legendre_stirling(i, j) == sequences.legendre_stirling_via_triangle(i, j)
-        for i in range(1, 9) for j in range(1, i + 1))),
+        value == sequences.legendre_stirling(i, j)
+        for i, row in enumerate(sequences.rescaled_staircase_rows(8), start=1)
+        for j, value in enumerate(row, start=1))),
     ("genocchi-ls-identity", "r <= 10", lambda: all(
         lhs == rhs for lhs, rhs in map(sequences.genocchi_ls_identity, range(1, 11)))),
     ("complete-bipartite", "r, k <= 5", lambda: all(
@@ -286,11 +289,9 @@ def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     caps = _caps_from(args)
     if args.cells > VERIFY_CELLS_CAP:
-        print(
-            f"--cells {args.cells} exceeds the verify cap {VERIFY_CELLS_CAP}",
-            file=sys.stderr,
+        raise graphs.GraphTooLarge(
+            f"--cells {args.cells} exceeds the verify cap {VERIFY_CELLS_CAP}"
         )
-        return EXIT_CAP
     if args.cells < 1:
         raise InputError("--cells must be >= 1")
     results = run_verify(args.cells, caps)
@@ -394,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
         "which", choices=["genocchi2", "legendre-stirling", "beta-staircase"]
     )
     p_seq.add_argument("--count", type=int, default=10)
-    p_seq.add_argument("--steplength", type=int, default=1)
+    p_seq.add_argument("--steplength", type=int, help="beta-staircase only (default 1)")
     p_seq.add_argument("--format", choices=["tsv", "bfile"], default="tsv")
     p_seq.set_defaults(func=cmd_sequence)
 

@@ -5,14 +5,19 @@ Stirling numbers of the second kind, the closed double sum for staircase
 shapes, and the generating-function cross-check for staircase coefficient
 columns.  All rational intermediates use exact fractions; integrality of the
 results is itself part of the contract.
+
+The generators ``beta_staircases``, ``rescaled_staircase_rows`` and
+``genocchi2_values`` yield every value up to n in one pass; the point
+functions read them, and the Fraction closed forms stay independent oracles.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterator
 
-from .shapes import FerrersShape, staircase
+from .shapes import staircase
 from .triangle import iter_row_values
 
 
@@ -38,31 +43,56 @@ def legendre_stirling(i: int, j: int) -> int:
     return _require_integer(total)
 
 
+def rescaled_staircase_rows(n: int, d: int = 1) -> Iterator[tuple[int, ...]]:
+    """Rows i = 1..n of the rescaled steplength-d staircase triangle: entry j-1
+    of row i is (-1)**(i+j) c(i, j) / (j! ((j-1)!)**d) for j = 1..i.  For d = 1
+    these are the Legendre-Stirling numbers d(i, j)."""
+    scales = []
+    for i, row in enumerate(iter_row_values(staircase(n, d)), start=1):
+        scales.append(math.factorial(i) * math.factorial(i - 1) ** d)
+        yield tuple(
+            _require_integer(Fraction((-1) ** (i + j) * row[j], scales[j - 1]))
+            for j in range(1, i + 1)
+        )
+
+
 def legendre_stirling_via_triangle(i: int, j: int) -> int:
-    """The same numbers read off the staircase triangle:
-    (-1)**(i+j) * c(i, j) / (j! (j-1)!) for the unit staircase of height i."""
+    """The same numbers read off row i of the rescaled unit staircase triangle."""
     if not 1 <= j <= i:
         raise ValueError("need 1 <= j <= i")
-    for row in iter_row_values(staircase(i, 1)):
+    for row in rescaled_staircase_rows(i):
         pass
-    value = Fraction(
-        (-1) ** (i + j) * row[j], math.factorial(j) * math.factorial(j - 1)
-    )
-    return _require_integer(value)
+    return row[j - 1]
+
+
+def genocchi2_values(n: int) -> Iterator[int]:
+    """Genocchi numbers of the second kind g(1..n) via the two-variable recursion
+    G(r, x) = (x+1)^2 G(r-1, x+1) - x(x+1) G(r-1, x), G(1, x) = 1, at x = 1.
+    Level r only needs x = 1..n-r+1, so one pass yields every g(r)."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    level = {x: 1 for x in range(1, n + 1)}
+    yield level[1]
+    for step in range(2, n + 1):
+        level = {
+            x: (x + 1) ** 2 * level[x + 1] - x * (x + 1) * level[x]
+            for x in range(1, n - step + 2)
+        }
+        yield level[1]
 
 
 def genocchi2(r: int) -> int:
-    """Genocchi numbers of the second kind via the two-variable recursion
-    G(r, x) = (x+1)^2 G(r-1, x+1) - x(x+1) G(r-1, x), G(1, x) = 1, at x = 1."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    level = {x: 1 for x in range(1, r + 1)}
-    for step in range(2, r + 1):
-        level = {
-            x: (x + 1) ** 2 * level[x + 1] - x * (x + 1) * level[x]
-            for x in range(1, r - step + 2)
-        }
-    return level[1]
+    """The Genocchi number of the second kind g(r): the last of genocchi2_values(r)."""
+    for value in genocchi2_values(r):
+        pass
+    return value
+
+
+def beta_staircases(n: int, d: int = 1) -> Iterator[int]:
+    """beta of staircase(r, d) for r = 1..n in one pass: row r of the triangle
+    is the same for every height >= r, and the bottom row has d cells."""
+    for row in iter_row_values(staircase(n, d)):
+        yield sum(c * j**d for j, c in enumerate(row))
 
 
 def beta_staircase_closed(r: int) -> int:
@@ -125,8 +155,8 @@ def chat_gf_check(j: int, d: int, order: int) -> tuple[list[int], list[int]]:
 
     Route a: coefficients of x^1..x^order of x**j / prod_{i=1..j}(1 - i**d (i+1) x),
     expanded with the linear recurrence the denominator induces.  Route b:
-    (-1)**(i+j) c(i, j) / (j! ((j-1)!)**d) read off triangles of steplength-d
-    staircases for i = 1..order.  Equality of the two lists is the point.
+    column j of rescaled_staircase_rows(order, d), zero above the diagonal.
+    Equality of the two lists is the point.
     """
     if j < 1 or d < 1:
         raise ValueError("need j >= 1 and d >= 1")
@@ -148,9 +178,7 @@ def chat_gf_check(j: int, d: int, order: int) -> tuple[list[int], list[int]]:
         coeffs[m] = value
     series_a = coeffs[1:]
 
-    scale = math.factorial(j) * math.factorial(j - 1) ** d
-    series_b = []
-    for i, row in enumerate(iter_row_values(staircase(order, d)), start=1):
-        c = row[j] if j <= i else 0
-        series_b.append(_require_integer(Fraction((-1) ** (i + j) * c, scale)))
+    series_b = [
+        row[j - 1] if j <= len(row) else 0 for row in rescaled_staircase_rows(order, d)
+    ]
     return series_a, series_b

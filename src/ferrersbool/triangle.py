@@ -10,8 +10,7 @@ number is sum_j c(r, j) * j**Lr, again with 0**0 = 1, so a zero bottom row
 yields the row sum, which is zero.
 
 Every consumer reads the rows from one stream, ``iter_row_values``, which is
-the only caller of the row update: ``beta_triangle`` and the cost census keep
-only its current row, ``coefficient_triangle`` keeps them all.
+the only caller of the row update, and keeps only the row it is on.
 
 Everything here is exact integer arithmetic; the entries grow exponentially
 with the row index, so fixed-width arithmetic is never used.
@@ -25,26 +24,6 @@ from typing import Iterator
 from .shapes import FerrersShape
 
 FIRST_ROW: tuple[int, ...] = (-1, 1)
-
-
-@dataclass(frozen=True)
-class CoefficientRow:
-    """Row i of the triangle: values c(i, 0..i)."""
-
-    index: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.values) != self.index + 1:
-            raise ValueError("row i must have i+1 entries")
-
-
-@dataclass(frozen=True)
-class Triangle:
-    """All rows of the coefficient triangle for one shape."""
-
-    shape: FerrersShape
-    rows: tuple[CoefficientRow, ...]
 
 
 @dataclass(frozen=True)
@@ -68,19 +47,12 @@ def next_values(prev: tuple[int, ...], d: int) -> tuple[int, ...]:
 
 
 def iter_row_values(shape: FerrersShape) -> Iterator[tuple[int, ...]]:
-    """Stream row values 1..r without materializing the whole triangle."""
+    """Stream rows 1..r; row i is the tuple c(i, 0..i)."""
     row = FIRST_ROW
     yield row
     for d in shape.differences():
         row = next_values(row, d)
         yield row
-
-
-def coefficient_triangle(shape: FerrersShape) -> Triangle:
-    rows = tuple(
-        CoefficientRow(i, values) for i, values in enumerate(iter_row_values(shape), start=1)
-    )
-    return Triangle(shape, rows)
 
 
 def beta_triangle(shape: FerrersShape) -> int:
@@ -98,7 +70,7 @@ def predicted_cost(shape: FerrersShape) -> int:
     )
 
 
-def instrumented_gamma(shape: FerrersShape) -> tuple[CoefficientRow, CostReport]:
+def instrumented_gamma(shape: FerrersShape) -> tuple[tuple[int, ...], CostReport]:
     """Final triangle row plus the multiplication census of computing it.
 
     The census applies the paper's cost model to the rows the kernel streams.
@@ -113,4 +85,4 @@ def instrumented_gamma(shape: FerrersShape) -> tuple[CoefficientRow, CostReport]
     for d, row in zip(shape.differences(), rows):
         muls += 2 * len(row) * (d + 1)
     report = CostReport(multiplications=muls, predicted=predicted_cost(shape))
-    return CoefficientRow(len(row) - 1, row), report
+    return row, report

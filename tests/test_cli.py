@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ferrersbool import rectangle, recursion, triangle
+from ferrersbool import beta_triangle, rectangle, recursion, staircase, triangle
 from ferrersbool.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
 
 
@@ -127,6 +127,11 @@ def test_triangle_json_round_trips(capsys):
     assert rows[-1][-2:] == ["-22101120", "8709120"]
 
 
+def test_triangle_json_single_row(capsys):
+    code, out, _ = run(capsys, "triangle", "--shape", "5", "--format", "json")
+    assert code == EXIT_OK and out == '[["-1","1"]]\n'
+
+
 def test_sequence_genocchi(capsys):
     code, out, _ = run(capsys, "sequence", "genocchi2", "--count", "5")
     assert code == EXIT_OK
@@ -139,6 +144,14 @@ def test_sequence_bfile(capsys):
     )
     assert code == EXIT_OK
     assert out.splitlines() == ["1 1", "2 2", "3 8"]
+
+
+def test_sequence_beta_staircase_steplength(capsys):
+    code, out, _ = run(capsys, "sequence", "beta-staircase", "--count", "12", "--steplength", "2")
+    assert code == EXIT_OK
+    assert out.splitlines() == [
+        f"{r}\t{beta_triangle(staircase(r, 2))}" for r in range(1, 13)
+    ]
 
 
 def test_sequence_legendre_stirling(capsys):
@@ -155,6 +168,8 @@ def test_sequence_legendre_stirling(capsys):
         ("sequence", "genocchi2", "--count", "x"),
         ("triangle",),
         ("sequence", "legendre-stirling", "--rows", "2"),
+        ("sequence", "genocchi2", "--count", "3", "--steplength", "5"),
+        ("sequence", "legendre-stirling", "--count", "3", "--steplength", "1"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -229,8 +244,10 @@ def test_verify_reports_skips_above_rank_cap(capsys):
 
 
 def test_verify_cells_cap(capsys):
-    code, _, _ = run(capsys, "verify", "--cells", "100")
-    assert code == EXIT_CAP
+    code, out, err = run(capsys, "verify", "--cells", "100")
+    assert code == EXIT_CAP and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cap exceeded:")
 
 
 def test_bench_report(capsys):

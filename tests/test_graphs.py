@@ -203,8 +203,8 @@ def test_all_methods_agree_on_seven_vertex_atlas(atlas_graphs):
 
     for g in atlas_graphs:
         expected = beta_edge_recursion(g)
-        assert beta_via_xi(g) == expected
-        assert (-1) ** g.vertex_count * bichromatic_via_xi(g, 0, -1) == expected
+        # the point both beta_via_xi and bichromatic_via_xi(g, 0, -1) evaluate
+        assert (-1) ** g.vertex_count * xi_polynomial(g).evaluate(0, -1, 1) == expected
         assert beta_via_rank(g) == expected
 
 

@@ -13,6 +13,7 @@ from ferrersbool import (
     staircase,
     stirling2,
 )
+from ferrersbool.sequences import beta_staircases, genocchi2_values, rescaled_staircase_rows
 
 from .reference_tables import STAIRCASE_BETAS
 
@@ -45,6 +46,27 @@ def test_legendre_stirling_routes_agree_and_satisfy_recurrence():
 
 def test_genocchi2_values():
     assert [genocchi2(r) for r in range(1, 6)] == list(STAIRCASE_BETAS)
+
+
+def test_genocchi2_values_one_pass():
+    assert list(genocchi2_values(len(STAIRCASE_BETAS))) == list(STAIRCASE_BETAS)
+    assert list(genocchi2_values(12)) == [beta_staircase_closed(r) for r in range(1, 13)]
+    with pytest.raises(ValueError):
+        list(genocchi2_values(0))
+
+
+def test_beta_staircases_one_pass():
+    for d in range(1, 4):
+        for n in range(1, 13):
+            expected = [beta_triangle(staircase(r, d)) for r in range(1, n + 1)]
+            assert list(beta_staircases(n, d)) == expected
+
+
+def test_rescaled_staircase_rows_are_legendre_stirling():
+    rows = list(rescaled_staircase_rows(10))
+    assert rows == [
+        tuple(legendre_stirling(i, j) for j in range(1, i + 1)) for i in range(1, 11)
+    ]
 
 
 def test_beta_staircase_closed_examples():
