@@ -64,15 +64,19 @@ class OracleCaps:
 
 
 def _caps_from(args: argparse.Namespace) -> OracleCaps:
-    value = getattr(args, "cap_vertices", None)
+    value, source = getattr(args, "cap_vertices", None), "--cap-vertices"
     if value is None:
         env = os.environ.get("FB_CAP_VERTICES")
         if env is not None:
-            value = int(env)
+            source = "FB_CAP_VERTICES"
+            try:
+                value = int(env)
+            except ValueError:
+                raise InputError(f"FB_CAP_VERTICES must be an integer, got {env!r}") from None
     if value is None:
         return OracleCaps()
     if value < 1:
-        raise ValueError("--cap-vertices must be >= 1")
+        raise InputError(f"{source} must be >= 1")
     return OracleCaps(rank_vertices=value, edge_vertices=value)
 
 
@@ -225,8 +229,10 @@ def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
     """Cross-check every method and identity; returns (status, name, detail) rows.
 
     One pass over the shape universe runs every per-shape check.  Each shape's
-    triangle value serves the method comparison, the zero-row rule and the
-    transpose check; the row-structure walk and the cost census run beside them.
+    triangle value serves the method comparison and the zero-row rule; the
+    transpose check runs the triangle on both orientations as given, since
+    beta_triangle would run the cheaper one for both.  The row-structure walk
+    and the cost census run beside them.
     """
     results: list[tuple[str, str, str]] = []
     universe = sorted(enumerate_shapes(cells, allow_zero_rows=True), key=lambda s: s.rows)
@@ -256,7 +262,9 @@ def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
             first_bad.setdefault("beta-zero-iff-zero-row", f"counterexample {shape}")
         if problem := _check_triangle_structure(shape):
             first_bad.setdefault("triangle-structure", problem)
-        if not shape.has_zero_row and triangle.beta_triangle(shape.transpose()) != expected:
+        if not shape.has_zero_row and (
+            triangle.beta_as_given(shape.transpose()) != triangle.beta_as_given(shape)
+        ):
             first_bad.setdefault("transpose-invariance", f"counterexample {shape}")
         _, report = triangle.instrumented_gamma(shape)
         if report.multiplications != report.predicted:
@@ -310,8 +318,10 @@ def _bench_label(shape: FerrersShape) -> str:
 
 
 def _bench_row(shape: FerrersShape, caps: OracleCaps) -> tuple[list, bool]:
+    # Time the triangle on this orientation as given, so the paper's cost
+    # model shows in each row; beta_triangle would run the cheaper one.
     t0 = time.perf_counter()
-    triangle.beta_triangle(shape)
+    triangle.beta_as_given(shape)
     t_triangle = time.perf_counter() - t0
     _, report = triangle.instrumented_gamma(shape)
     matches = report.multiplications == report.predicted
@@ -339,7 +349,9 @@ def _bench_row(shape: FerrersShape, caps: OracleCaps) -> tuple[list, bool]:
 def cmd_bench(args: argparse.Namespace) -> int:
     caps = _caps_from(args)
     shapes: list[FerrersShape] = [parse_shape(text) for text in args.shape or []]
-    if args.count:
+    if args.count is not None:
+        if args.count < 1:
+            raise InputError("--count must be >= 1")
         if not args.cells or args.cells < 1:
             raise InputError("--count needs --cells for random shapes")
         rng = random.Random(args.seed)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterator
 
 
@@ -75,13 +76,18 @@ class FerrersShape:
         """Conjugate shape: column lengths become row lengths.
 
         Zero rows are dropped before conjugating; all-zero shapes have no
-        columns and raise EmptyShape.
+        columns and raise EmptyShape.  One walk up the runs of equal rows, in
+        O(r + L1): with `height` rows left, the columns past those already
+        counted and up to the run's length hold `height` cells each.
         """
         if self.rows[0] == 0:
             raise EmptyShape("cannot transpose a shape whose rows are all zero")
-        positive = [x for x in self.rows if x > 0]
-        cols = tuple(sum(1 for x in positive if x >= j) for j in range(1, positive[0] + 1))
-        return FerrersShape(cols)
+        cols: list[int] = []
+        height = len(self.rows)
+        for length, run in groupby(reversed(self.rows)):
+            cols.extend([height] * (length - len(cols)))
+            height -= len(list(run))
+        return FerrersShape(tuple(cols))
 
     def drop_last_row(self) -> "FerrersShape":
         """Shape without its bottom row."""

@@ -7,7 +7,8 @@ row i follows from row i-1 with exponent d_i = L_{i-1} - L_i:
 
 with the convention 0**0 = 1 (Python's pow already honours it).  The boolean
 number is sum_j c(r, j) * j**Lr, again with 0**0 = 1, so a zero bottom row
-yields the row sum, which is zero.
+yields the row sum, which is zero.  Without a zero row the number is the same
+for the shape and its transpose; beta_triangle runs the cheaper of the two.
 
 Every consumer reads the rows from one stream, ``iter_row_values``, which is
 the only caller of the row update, and keeps only the row it is on.
@@ -56,7 +57,22 @@ def iter_row_values(shape: FerrersShape) -> Iterator[tuple[int, ...]]:
 
 
 def beta_triangle(shape: FerrersShape) -> int:
-    """Boolean number via the triangle: sum_j c(r, j) * j**Lr with 0**0 = 1."""
+    """Boolean number of a shape, run on its cheaper orientation.
+
+    A zero row makes the number zero.  Otherwise beta does not change under
+    transposition, so the triangle runs on the orientation with the smaller
+    predicted_cost, the given one on a tie; the transpose is built only when
+    it is the cheaper one.
+    """
+    if shape.has_zero_row:
+        return 0
+    if predicted_transpose_cost(shape) < predicted_cost(shape):
+        shape = shape.transpose()
+    return beta_as_given(shape)
+
+
+def beta_as_given(shape: FerrersShape) -> int:
+    """Boolean number via the triangle of the shape as given: sum_j c(r, j) * j**Lr."""
     for row in iter_row_values(shape):
         pass
     bottom = shape.rows[-1]
@@ -64,10 +80,29 @@ def beta_triangle(shape: FerrersShape) -> int:
 
 
 def predicted_cost(shape: FerrersShape) -> int:
-    """Closed-form multiplication count: 2 * sum_{i=2..r} (i+1) * (d_i + 1)."""
-    return 2 * sum(
-        (i + 1) * (d + 1) for i, d in enumerate(shape.differences(), start=2)
-    )
+    """Closed-form multiplication count: 2 * sum_{i=2..r} (i+1) * (d_i + 1).
+
+    Here sum_{i=2..r} (i+1) = (r+1)(r+2)/2 - 3 and, summed by parts,
+    sum_{i=2..r} (i+1) * d_i = 2*L1 + n - (r+2)*Lr for a shape of n cells, so
+    the count takes one sum over the rows.
+    """
+    rows = shape.rows
+    r = len(rows)
+    return 2 * ((r + 1) * (r + 2) // 2 - 3 + 2 * rows[0] + sum(rows) - (r + 2) * rows[-1])
+
+
+def predicted_transpose_cost(shape: FerrersShape) -> int:
+    """predicted_cost(shape.transpose()) for a shape with no zero row, in O(r).
+
+    The transpose has L1 rows, and its row i drops by d'_i = #{rows of length
+    i-1}, so its count is 2 * ((L1+1)(L1+2)/2 - 3 + sum_{rows k < L1} (k+2)).
+    With m rows of full length L1, that last sum is n - m*L1 + 2*(r - m).
+    """
+    rows = shape.rows
+    width = rows[0]
+    full = rows.count(width)
+    shorter = sum(rows) - full * width + 2 * (len(rows) - full)
+    return 2 * ((width + 1) * (width + 2) // 2 - 3 + shorter)
 
 
 def instrumented_gamma(shape: FerrersShape) -> tuple[tuple[int, ...], CostReport]:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +63,15 @@ def test_beta_cap_env_var(capsys, monkeypatch):
     monkeypatch.setenv("FB_CAP_VERTICES", "2")
     code, _, _ = run(capsys, "beta", "--shape", "3,2,1", "--method", "rank")
     assert code == EXIT_CAP
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_beta_cap_env_var_invalid(capsys, monkeypatch, value):
+    monkeypatch.setenv("FB_CAP_VERTICES", value)
+    code, out, err = run(capsys, "beta", "--shape", "2,1", "--method", "edge")
+    assert code == EXIT_INPUT and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("input error: FB_CAP_VERTICES ")
 
 
 def test_beta_graph_file(capsys, tmp_path):
@@ -237,6 +250,22 @@ def test_verify_fails_on_wrong_cost_model(capsys, monkeypatch):
     assert failed == ["FAIL cost-instrumentation (counterexample 0)"]
 
 
+def test_verify_fails_on_wrong_transposed_beta(capsys, monkeypatch):
+    # wrong only on the costlier orientation, which beta_triangle never runs:
+    # the transpose check must run both orientations as given to see it
+    right = triangle.beta_as_given
+
+    def wrong_when_costlier(shape):
+        costlier = triangle.predicted_cost(shape) > triangle.predicted_transpose_cost(shape)
+        return right(shape) + costlier
+
+    monkeypatch.setattr(triangle, "beta_as_given", wrong_when_costlier)
+    code, out, _ = run(capsys, "verify", "--cells", "3")
+    assert code == EXIT_VERIFY
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL transpose-invariance (counterexample 1,1)"]
+
+
 def test_verify_reports_skips_above_rank_cap(capsys):
     code, out, _ = run(capsys, "verify", "--cells", "8")
     assert code == EXIT_OK
@@ -299,3 +328,21 @@ def test_bench_random_and_infeasible(capsys):
 def test_bench_needs_input(capsys):
     code, _, _ = run(capsys, "bench")
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("count", ["-1", "0"])
+def test_bench_bad_count(capsys, count):
+    code, out, err = run(capsys, "bench", "--count", count, "--cells", "5")
+    assert code == EXIT_INPUT and out == ""
+    assert err == "input error: --count must be >= 1\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ferrersbool", "beta", "--shape", "3,2,1"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == EXIT_OK and done.stdout == "8\n"

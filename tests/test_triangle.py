@@ -2,14 +2,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ferrersbool import (
+    beta_complete_bipartite,
     beta_triangle,
     instrumented_gamma,
     iter_row_values,
     parse_shape,
     predicted_cost,
+    rectangle,
     staircase,
+    triangle,
 )
-from ferrersbool.triangle import next_values
+from ferrersbool.triangle import beta_as_given, next_values, predicted_transpose_cost
 
 from .reference_tables import STAIRCASE_BETAS, TRIANGLE_MIXED, TRIANGLE_STAIRCASE7
 
@@ -133,7 +136,43 @@ def test_rows_only_depend_on_differences(shape):
 
 @given(shapes.filter(lambda s: not s.has_zero_row))
 def test_beta_transpose_invariance(shape):
-    assert beta_triangle(shape.transpose()) == beta_triangle(shape)
+    # as given on both sides: beta_triangle runs the same orientation for both
+    assert beta_as_given(shape.transpose()) == beta_as_given(shape)
+    assert beta_triangle(shape) == beta_as_given(shape)
+
+
+@given(shapes.filter(lambda s: not s.has_zero_row))
+def test_predicted_transpose_cost_matches_transpose(shape):
+    assert predicted_transpose_cost(shape) == predicted_cost(shape.transpose())
+
+
+def _streams(monkeypatch, shape):
+    """beta_triangle(shape), and (shape, rows yielded) of each triangle stream."""
+    streams = []
+
+    def recording(streamed):
+        streams.append([streamed, 0])
+        for row in iter_row_values(streamed):
+            streams[-1][1] += 1
+            yield row
+
+    monkeypatch.setattr(triangle, "iter_row_values", recording)
+    return beta_triangle(shape), streams
+
+
+def test_beta_runs_the_cheaper_orientation(monkeypatch):
+    value, streams = _streams(monkeypatch, rectangle(1000, 100))
+    assert streams == [[rectangle(100, 1000), 100]]
+    assert value == beta_complete_bipartite(100, 1000)
+    value, streams = _streams(monkeypatch, rectangle(7, 100000))
+    assert streams == [[rectangle(7, 100000), 7]]
+    assert value == beta_complete_bipartite(7, 100000)
+    # (4,3,1,1) and its transpose (4,2,2,1) cost the same: the given one runs
+    tie = parse_shape("4,3,1,1")
+    assert predicted_cost(tie) == predicted_cost(tie.transpose()) and tie != tie.transpose()
+    assert _streams(monkeypatch, tie)[1] == [[tie, 4]]
+    # a zero row answers 0 without a triangle
+    assert _streams(monkeypatch, parse_shape("4,4,0")) == (0, [])
 
 
 @given(shapes.filter(lambda s: s.row_count > 1))
