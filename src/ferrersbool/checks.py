@@ -1,0 +1,152 @@
+"""The cross-checks behind ``verify`` and the acceptance gate.
+
+Each check is defined once here.  The per-shape checks return None when they
+hold and otherwise a one-line description of what broke; the sequence
+identities take their size and return whether the identity holds up to it.
+
+The engine and the oracles are called through their modules
+(``triangle.beta_triangle``, ``recursion.beta_row_recursion``, ...), so that
+code which replaces a module attribute, such as a test that breaks one route
+on purpose, reaches the calls made here.  The four slow oracles never read the
+triangle: their independence is what makes them cross-checks.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import boolcomplex, graphs, recursion, sequences, shapes, triangle
+from .shapes import FerrersShape
+
+
+@dataclass(frozen=True)
+class OracleCaps:
+    """Vertex budgets for the exhaustive oracles and the edge recursion."""
+
+    rank_vertices: int = graphs.EXHAUSTIVE_VERTEX_CAP
+    edge_vertices: int = graphs.EDGE_RECURSION_VERTEX_CAP
+
+
+# ---------------------------------------------------------------------------
+# per-shape checks
+# ---------------------------------------------------------------------------
+
+def method_agreement(
+    shape: FerrersShape, expected: int, caps: OracleCaps
+) -> tuple[list[str], list[str]]:
+    """The oracles whose beta differs from `expected` on shape, in the order
+    row, edge, xi, rank; and those skipped because the graph is above their
+    cap ("edge" covers the edge recursion and xi, "rank" the rank census)."""
+    wrong: list[str] = []
+    skipped: list[str] = []
+    if recursion.beta_row_recursion(shape) != expected:
+        wrong.append("row")
+    g = graphs.ferrers_graph(shape)
+    if g.vertex_count <= caps.edge_vertices:
+        if graphs.beta_edge_recursion(g, max_vertices=caps.edge_vertices) != expected:
+            wrong.append("edge")
+        if graphs.beta_via_xi(g) != expected:
+            wrong.append("xi")
+    else:
+        skipped.append("edge")
+    if g.vertex_count <= caps.rank_vertices:
+        if boolcomplex.beta_via_rank(g, max_vertices=caps.rank_vertices) != expected:
+            wrong.append("rank")
+    else:
+        skipped.append("rank")
+    return wrong, skipped
+
+
+def zero_iff_zero_row(shape: FerrersShape, value: int) -> str | None:
+    """beta is 0 exactly when the shape has a zero row."""
+    if (value == 0) != shape.has_zero_row:
+        return f"counterexample {shape}"
+    return None
+
+
+def triangle_structure(shape: FerrersShape) -> str | None:
+    """Every row sums to zero, starts with zero below the full-width rows,
+    and alternates in sign off its leftmost column."""
+    width = shape.rows[0]
+    for i, row in enumerate(triangle.iter_row_values(shape), start=1):
+        if sum(row) != 0:
+            return f"row {i} of {shape} does not sum to zero"
+        if shape.rows[i - 1] < width and row[0] != 0:
+            return f"row {i} of {shape} should start with zero"
+        for j in range(1, len(row) - 1):
+            if row[j] and row[j + 1] and (row[j] > 0) == (row[j + 1] > 0):
+                return f"row {i} of {shape} breaks sign alternation at {j}"
+    return None
+
+
+def transpose_invariance(shape: FerrersShape) -> str | None:
+    """Without a zero row, the triangle gives the same beta on both
+    orientations.  Both run as given: beta_triangle would run the cheaper one
+    for both."""
+    if not shape.has_zero_row and (
+        triangle.beta_as_given(shape.transpose()) != triangle.beta_as_given(shape)
+    ):
+        return f"counterexample {shape}"
+    return None
+
+
+def cost_census(shape: FerrersShape) -> str | None:
+    """The multiplication census of the streamed rows equals the closed form."""
+    _, report = triangle.instrumented_gamma(shape)
+    if report.multiplications != report.predicted:
+        return f"counterexample {shape}"
+    return None
+
+
+# ---------------------------------------------------------------------------
+# sequence identities
+# ---------------------------------------------------------------------------
+
+def staircase_genocchi(n: int) -> bool:
+    """For heights 1..n, the unit staircase's beta by the triangle and by the
+    one-pass stream, the Genocchi number g(r) and the closed double sum agree."""
+    return all(
+        triangle.beta_triangle(shapes.staircase(r, 1)) == beta == g
+        == sequences.beta_staircase_closed(r)
+        for r, beta, g in zip(
+            range(1, n + 1),
+            sequences.beta_staircases(n),
+            sequences.genocchi2_values(n),
+            strict=True,
+        )
+    )
+
+
+def legendre_stirling_triangle(n: int) -> bool:
+    """Rows 1..n of the rescaled staircase triangle are the Legendre-Stirling
+    numbers of the closed form."""
+    return all(
+        value == sequences.legendre_stirling(i, j)
+        for i, row in enumerate(sequences.rescaled_staircase_rows(n), start=1)
+        for j, value in enumerate(row, start=1)
+    )
+
+
+def genocchi_ls_identity(n: int) -> bool:
+    """g(r) = sum_j (-1)**(r+j) (j!)^2 d(r, j) for r = 1..n."""
+    return all(lhs == rhs for lhs, rhs in map(sequences.genocchi_ls_identity, range(1, n + 1)))
+
+
+def complete_bipartite(n: int) -> bool:
+    """The Stirling formula equals the triangle on every rectangle up to n by n."""
+    return all(
+        sequences.beta_complete_bipartite(r, k) == triangle.beta_triangle(shapes.rectangle(r, k))
+        for r in range(1, n + 1)
+        for k in range(1, n + 1)
+    )
+
+
+def staircase_column_gf(max_j: int, max_d: int, order: int) -> bool:
+    """Both routes to column j of the rescaled steplength-d staircase triangle
+    agree to the given order, for j <= max_j and d <= max_d."""
+    return all(
+        a == b
+        for j in range(1, max_j + 1)
+        for d in range(1, max_d + 1)
+        for a, b in [sequences.chat_gf_check(j, d, order)]
+    )

@@ -10,8 +10,9 @@ verify    cross-check every method and identity on a small shape universe
 bench     multiplication counts and wall times, triangle vs. edge recursion
 
 Exit codes: 0 success, 1 input error, 2 oracle cap exceeded, 3 verification
-failure.  The environment variable FB_CAP_VERTICES overrides the oracle
-vertex cap like --cap-vertices does.
+failure, 4 internal error (a fault in the program, reported on one line).
+The environment variable FB_CAP_VERTICES overrides the oracle vertex cap
+like --cap-vertices does.
 """
 
 from __future__ import annotations
@@ -22,24 +23,17 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass
 from typing import Iterator
 
-from . import boolcomplex, graphs, recursion, sequences, triangle
-from .shapes import (
-    FerrersShape,
-    ShapeError,
-    enumerate_shapes,
-    parse_shape,
-    random_shape,
-    rectangle,
-    staircase,
-)
+from . import boolcomplex, checks, graphs, recursion, sequences, triangle
+from .checks import OracleCaps
+from .shapes import FerrersShape, ShapeError, enumerate_shapes, parse_shape, random_shape
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CAP = 2
 EXIT_VERIFY = 3
+EXIT_INTERNAL = 4
 
 VERIFY_CELLS_CAP = 12
 
@@ -53,14 +47,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise InputError(message)
-
-
-@dataclass(frozen=True)
-class OracleCaps:
-    """Vertex budgets for the exhaustive oracles and the edge recursion."""
-
-    rank_vertices: int = graphs.EXHAUSTIVE_VERTEX_CAP
-    edge_vertices: int = graphs.EDGE_RECURSION_VERTEX_CAP
 
 
 def _caps_from(args: argparse.Namespace) -> OracleCaps:
@@ -85,8 +71,11 @@ def _dump_json(obj) -> str:
 
 
 def _load_graph(path: str) -> graphs.SimpleGraph:
-    with open(path, "r", encoding="utf-8") as handle:
-        return graphs.parse_edge_list(handle.read())
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return graphs.parse_edge_list(handle.read())
+    except (OSError, ValueError) as exc:  # unreadable file or malformed edge list
+        raise InputError(str(exc)) from None
 
 
 def _beta_for_graph(g: graphs.SimpleGraph, method: str, caps: OracleCaps) -> int:
@@ -166,6 +155,8 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         raise InputError("--count must be >= 1")
     if args.steplength is not None and args.which != "beta-staircase":
         raise InputError("--steplength applies only to beta-staircase")
+    if args.steplength is not None and args.steplength < 1:
+        raise InputError("--steplength must be >= 1")
     for row in _sequence_rows(args):
         if args.format == "bfile":
             print(f"{row[0]} {row[-1]}")
@@ -191,93 +182,43 @@ def cmd_complex(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def _check_triangle_structure(shape: FerrersShape) -> str | None:
-    width = shape.rows[0]
-    for i, row in enumerate(triangle.iter_row_values(shape), start=1):
-        if sum(row) != 0:
-            return f"row {i} of {shape} does not sum to zero"
-        if shape.rows[i - 1] < width and row[0] != 0:
-            return f"row {i} of {shape} should start with zero"
-        for j in range(1, len(row) - 1):
-            if row[j] and row[j + 1] and (row[j] > 0) == (row[j + 1] > 0):
-                return f"row {i} of {shape} breaks sign alternation at {j}"
-    return None
-
-
-# The sequence identities: (name, detail, check).
-SEQUENCE_IDENTITIES = (
-    ("staircase-genocchi", "heights 1..8", lambda: all(
-        triangle.beta_triangle(staircase(r, 1)) == beta == g == sequences.beta_staircase_closed(r)
-        for r, beta, g in zip(range(1, 9), sequences.beta_staircases(8),
-                              sequences.genocchi2_values(8), strict=True))),
-    ("legendre-stirling-triangle", "i <= 8", lambda: all(
-        value == sequences.legendre_stirling(i, j)
-        for i, row in enumerate(sequences.rescaled_staircase_rows(8), start=1)
-        for j, value in enumerate(row, start=1))),
-    ("genocchi-ls-identity", "r <= 10", lambda: all(
-        lhs == rhs for lhs, rhs in map(sequences.genocchi_ls_identity, range(1, 11)))),
-    ("complete-bipartite", "r, k <= 5", lambda: all(
-        sequences.beta_complete_bipartite(r, k) == triangle.beta_triangle(rectangle(r, k))
-        for r in range(1, 6) for k in range(1, 6))),
-    ("staircase-column-gf", "j <= 3, d <= 2", lambda: all(
-        a == b for j in range(1, 4) for d in range(1, 3)
-        for a, b in [sequences.chat_gf_check(j, d, 8)])),
-)  # fmt: skip
-
-
 def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
     """Cross-check every method and identity; returns (status, name, detail) rows.
 
-    One pass over the shape universe runs every per-shape check.  Each shape's
-    triangle value serves the method comparison and the zero-row rule; the
-    transpose check runs the triangle on both orientations as given, since
-    beta_triangle would run the cheaper one for both.  The row-structure walk
-    and the cost census run beside them.
+    One pass over the shape universe runs every per-shape check of
+    ``checks``; each shape's triangle value serves the method comparison and
+    the zero-row rule.  The sequence identities run after it, at fixed sizes.
     """
     results: list[tuple[str, str, str]] = []
     universe = sorted(enumerate_shapes(cells, allow_zero_rows=True), key=lambda s: s.rows)
 
     failures = []
     first_bad: dict[str, str] = {}  # check name -> its first counterexample
-    skipped_rank = 0
-    skipped_edge = 0
+    skipped = {"rank": 0, "edge": 0}
     for shape in universe:
         expected = triangle.beta_triangle(shape)
-        if recursion.beta_row_recursion(shape) != expected:
-            failures.append(f"row disagrees on {shape}")
-        g = graphs.ferrers_graph(shape)
-        if g.vertex_count <= caps.edge_vertices:
-            if graphs.beta_edge_recursion(g, max_vertices=caps.edge_vertices) != expected:
-                failures.append(f"edge disagrees on {shape}")
-            if graphs.beta_via_xi(g) != expected:
-                failures.append(f"xi disagrees on {shape}")
-        else:
-            skipped_edge += 1
-        if g.vertex_count <= caps.rank_vertices:
-            if boolcomplex.beta_via_rank(g, max_vertices=caps.rank_vertices) != expected:
-                failures.append(f"rank disagrees on {shape}")
-        else:
-            skipped_rank += 1
-        if (expected == 0) != shape.has_zero_row:
-            first_bad.setdefault("beta-zero-iff-zero-row", f"counterexample {shape}")
-        if problem := _check_triangle_structure(shape):
-            first_bad.setdefault("triangle-structure", problem)
-        if not shape.has_zero_row and (
-            triangle.beta_as_given(shape.transpose()) != triangle.beta_as_given(shape)
+        wrong, skips = checks.method_agreement(shape, expected, caps)
+        failures.extend(f"{method} disagrees on {shape}" for method in wrong)
+        for method in skips:
+            skipped[method] += 1
+        for name, problem in (
+            ("beta-zero-iff-zero-row", checks.zero_iff_zero_row(shape, expected)),
+            ("triangle-structure", checks.triangle_structure(shape)),
+            ("transpose-invariance", checks.transpose_invariance(shape)),
+            ("cost-instrumentation", checks.cost_census(shape)),
         ):
-            first_bad.setdefault("transpose-invariance", f"counterexample {shape}")
-        _, report = triangle.instrumented_gamma(shape)
-        if report.multiplications != report.predicted:
-            first_bad.setdefault("cost-instrumentation", f"counterexample {shape}")
+            if problem:
+                first_bad.setdefault(name, problem)
 
     detail = (
-        f"{len(universe)} shapes, {skipped_rank} rank-skipped, {skipped_edge} edge-skipped"
+        f"{len(universe)} shapes, {skipped['rank']} rank-skipped, "
+        f"{skipped['edge']} edge-skipped"
     )
     if failures:
         results.append(("FAIL", "beta-methods-agree", "; ".join(failures[:5])))
     else:
         results.append(("PASS", "beta-methods-agree", detail))
-    if skipped_rank or skipped_edge:
+    if skipped["rank"] or skipped["edge"]:
         results.append(("SKIP", "beta-methods-capped", detail))
     counted = f"{len(universe)} shapes"
     for name, passed in (
@@ -289,8 +230,14 @@ def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
         bad = first_bad.get(name)
         results.append(("FAIL", name, bad) if bad else ("PASS", name, passed))
 
-    for name, detail, holds in SEQUENCE_IDENTITIES:
-        results.append(("PASS" if holds() else "FAIL", name, detail))
+    for name, detail, holds in (
+        ("staircase-genocchi", "heights 1..8", checks.staircase_genocchi(8)),
+        ("legendre-stirling-triangle", "i <= 8", checks.legendre_stirling_triangle(8)),
+        ("genocchi-ls-identity", "r <= 10", checks.genocchi_ls_identity(10)),
+        ("complete-bipartite", "r, k <= 5", checks.complete_bipartite(5)),
+        ("staircase-column-gf", "j <= 3, d <= 2", checks.staircase_column_gf(3, 2, 8)),
+    ):
+        results.append(("PASS" if holds else "FAIL", name, detail))
     return results
 
 
@@ -444,9 +391,12 @@ def main(argv=None) -> int:
     except graphs.GraphTooLarge as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (InputError, ShapeError, ValueError, OSError) as exc:
+    except (InputError, ShapeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault in the program, not in its input
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -124,28 +124,29 @@ def genocchi_ls_identity(r: int) -> tuple[int, int]:
     return genocchi2(r), rhs
 
 
+def _stirling2_row(n: int) -> list[int]:
+    """S(n, 0..n) by the standard recurrence S(m, j) = S(m-1, j-1) + j S(m-1, j)."""
+    row = [1]  # row for n = 0
+    for m in range(1, n + 1):
+        row = [0] + [row[j - 1] + (j * row[j] if j < m else 0) for j in range(1, m + 1)]
+    return row
+
+
 def stirling2(n: int, k: int) -> int:
-    """Stirling numbers of the second kind by the standard recurrence."""
+    """Stirling numbers of the second kind."""
     if not 0 <= k <= n:
         raise ValueError("need 0 <= k <= n")
-    prev = [1]  # row for n = 0
-    for m in range(1, n + 1):
-        cur = [0] * (m + 1)
-        for j in range(1, m + 1):
-            cur[j] = (prev[j - 1] if j - 1 < len(prev) else 0) + j * (
-                prev[j] if j < len(prev) else 0
-            )
-        prev = cur
-    return prev[k]
+    return _stirling2_row(n)[k]
 
 
 def beta_complete_bipartite(r: int, k: int) -> int:
     """beta of the complete bipartite graph on r + k vertices:
-    sum_{j=1..r} (-1)**(r-j) j! S(r+1, j+1) j**k."""
+    sum_{j=1..r} (-1)**(r-j) j! S(r+1, j+1) j**k, reading one row of S."""
     if r < 1 or k < 1:
         raise ValueError("need r, k >= 1")
+    stirling = _stirling2_row(r + 1)
     return sum(
-        (-1) ** (r - j) * math.factorial(j) * stirling2(r + 1, j + 1) * j**k
+        (-1) ** (r - j) * math.factorial(j) * stirling[j + 1] * j**k
         for j in range(1, r + 1)
     )
 

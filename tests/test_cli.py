@@ -6,8 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from ferrersbool import beta_triangle, rectangle, recursion, staircase, triangle
-from ferrersbool.cli import EXIT_CAP, EXIT_INPUT, EXIT_OK, EXIT_VERIFY, main
+from ferrersbool import beta_triangle, rectangle, recursion, sequences, staircase, triangle
+from ferrersbool.cli import EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
 
 
 def run(capsys, *argv):
@@ -183,6 +183,8 @@ def test_sequence_legendre_stirling(capsys):
         ("sequence", "legendre-stirling", "--rows", "2"),
         ("sequence", "genocchi2", "--count", "3", "--steplength", "5"),
         ("sequence", "legendre-stirling", "--count", "3", "--steplength", "1"),
+        ("sequence", "beta-staircase", "--count", "3", "--steplength", "0"),
+        ("sequence", "beta-staircase", "--count", "3", "--steplength", "-2"),
     ],
 )
 def test_usage_errors_exit_1(capsys, argv):
@@ -191,6 +193,17 @@ def test_usage_errors_exit_1(capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("input error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("fault", [ValueError("bad state"), sequences.NonIntegerResult("1/2")])
+def test_internal_fault_is_not_an_input_error(capsys, monkeypatch, fault):
+    def broken(shape):
+        raise fault
+
+    monkeypatch.setattr(recursion, "beta_row_recursion", broken)
+    code, out, err = run(capsys, "beta", "--shape", "3,2,1", "--method", "row")
+    assert code == EXIT_INTERNAL and out == ""
+    assert err == f"internal error: {type(fault).__name__}: {fault}\n"
 
 
 def test_sequence_bad_count(capsys):
@@ -264,6 +277,24 @@ def test_verify_fails_on_wrong_transposed_beta(capsys, monkeypatch):
     assert code == EXIT_VERIFY
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == ["FAIL transpose-invariance (counterexample 1,1)"]
+
+
+@pytest.mark.parametrize(
+    "route, wrong, check",
+    [
+        ("beta_staircase_closed", lambda v: v + 1, "staircase-genocchi (heights 1..8)"),
+        ("legendre_stirling", lambda v: v + 1, "legendre-stirling-triangle (i <= 8)"),
+        ("genocchi_ls_identity", lambda v: (v[0], v[1] + 1), "genocchi-ls-identity (r <= 10)"),
+        ("beta_complete_bipartite", lambda v: v + 1, "complete-bipartite (r, k <= 5)"),
+        ("chat_gf_check", lambda v: (v[0], v[1] + [0]), "staircase-column-gf (j <= 3, d <= 2)"),
+    ],
+)
+def test_verify_fails_on_each_broken_identity(capsys, monkeypatch, route, wrong, check):
+    right = getattr(sequences, route)
+    monkeypatch.setattr(sequences, route, lambda *args: wrong(right(*args)))
+    code, out, _ = run(capsys, "verify", "--cells", "3")
+    assert code == EXIT_VERIFY
+    assert f"FAIL {check}" in out.splitlines()
 
 
 def test_verify_reports_skips_above_rank_cap(capsys):

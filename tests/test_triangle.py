@@ -4,6 +4,8 @@ from hypothesis import strategies as st
 from ferrersbool import (
     beta_complete_bipartite,
     beta_triangle,
+    checks,
+    enumerate_shapes,
     instrumented_gamma,
     iter_row_values,
     parse_shape,
@@ -61,28 +63,18 @@ def test_predicted_cost_examples():
 
 
 def test_instrumented_cost_exact_on_all_small_shapes():
-    from ferrersbool import enumerate_shapes
-
     for shape in enumerate_shapes(30, allow_zero_rows=True):
         _, report = instrumented_gamma(shape)
         assert report.multiplications == report.predicted, shape
 
 
 def test_four_methods_agree_up_to_ten_cells():
-    from ferrersbool import (
-        beta_edge_recursion,
-        beta_row_recursion,
-        beta_via_rank,
-        enumerate_shapes,
-        ferrers_graph,
-    )
-
-    for shape in enumerate_shapes(10, allow_zero_rows=True):
-        expected = beta_triangle(shape)
-        assert beta_row_recursion(shape) == expected
-        g = ferrers_graph(shape)
-        assert beta_edge_recursion(g, max_vertices=12) == expected
-        assert beta_via_rank(g, max_vertices=12) == expected
+    # acceptance criterion 2 runs the same check on every shape of <= 9 cells
+    caps = checks.OracleCaps(rank_vertices=12, edge_vertices=12)
+    ten_cells = [s for s in enumerate_shapes(10, allow_zero_rows=True) if s.cell_count == 10]
+    assert len(ten_cells) == 84
+    for shape in ten_cells:
+        assert checks.method_agreement(shape, beta_triangle(shape), caps) == ([], []), shape
 
 
 def test_instrumented_gamma_examples():
@@ -163,7 +155,7 @@ def _streams(monkeypatch, shape):
 def test_beta_runs_the_cheaper_orientation(monkeypatch):
     value, streams = _streams(monkeypatch, rectangle(1000, 100))
     assert streams == [[rectangle(100, 1000), 100]]
-    assert value == beta_complete_bipartite(100, 1000)
+    assert value == beta_complete_bipartite(100, 1000) == beta_complete_bipartite(1000, 100)
     value, streams = _streams(monkeypatch, rectangle(7, 100000))
     assert streams == [[rectangle(7, 100000), 7]]
     assert value == beta_complete_bipartite(7, 100000)
