@@ -1,4 +1,4 @@
-"""Brute-force census of the injective-word complex of a graph.
+"""Census of the injective-word complex of a graph.
 
 Words use distinct vertices; two words are equivalent when one turns into the
 other by repeatedly swapping adjacent letters that are non-adjacent in the
@@ -7,9 +7,13 @@ is the least linear extension of the precedence order the word induces on
 adjacent-in-the-graph letter pairs.
 
 A word is that least representative exactly when no letter can jump left
-over a block of letters it commutes with to land before a larger one, so the
-enumeration below walks canonical words directly: the property is closed
-under prefixes, which keeps the search tree equal to the census itself.
+over a block of letters it commutes with to land before a larger one.  These
+words are the lexicographic normal forms of traces, which a finite automaton
+recognises (Anisimov and Knuth, 1979): its state after a canonical prefix is
+the pair of bitmasks (letters used, letters blocked), and `_successors` is its
+one transition.  `word_classes` walks the transition to list the words;
+`rank_vector` counts paths through the states level by level and lists none,
+so its cost grows with the number of states, not the number of words.
 """
 
 from __future__ import annotations
@@ -67,42 +71,46 @@ def canonical_form(g: SimpleGraph, word: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _canonical_words(masks: tuple[int, ...], max_len: int) -> Iterator[tuple[int, ...]]:
-    n = len(masks)
+def _successors(
+    masks: tuple[int, ...], used: int, blocked: int
+) -> Iterator[tuple[int, int, int]]:
+    """The letters that extend a canonical prefix in state (used, blocked),
+    in increasing order, each with the state after it.
 
-    def admissible(prefix: list[int], v: int) -> bool:
-        # v may extend a canonical prefix unless it could commute backwards
-        # past a strictly larger letter.
-        for w in reversed(prefix):
-            if masks[v] >> w & 1:
-                return True
-            if v < w:
-                return False
-        return True
+    blocked holds the unused letters that could commute backwards past a
+    larger letter of the prefix.  Appending x blocks every unused v not
+    adjacent to x that is smaller than x or was already blocked: v would
+    commute past x and then, if v > x, on past whatever blocked it before.
+    """
+    free = ((1 << len(masks)) - 1) & ~(used | blocked)
+    while free:
+        bit = free & -free
+        free ^= bit
+        x = bit.bit_length() - 1
+        used_after = used | bit
+        yield x, used_after, ~(masks[x] | used_after) & (blocked | (bit - 1))
 
+
+def _canonical_words(masks: tuple[int, ...], length: int) -> Iterator[tuple[int, ...]]:
+    """Every canonical word of the given length."""
     prefix: list[int] = []
-    used = [False] * n
 
-    def walk() -> Iterator[tuple[int, ...]]:
-        if len(prefix) == max_len:
-            return
-        for v in range(n):
-            if used[v] or not admissible(prefix, v):
-                continue
-            used[v] = True
-            prefix.append(v)
+    def walk(used: int, blocked: int) -> Iterator[tuple[int, ...]]:
+        if len(prefix) == length:
             yield tuple(prefix)
-            yield from walk()
+            return
+        for x, used_after, blocked_after in _successors(masks, used, blocked):
+            prefix.append(x)
+            yield from walk(used_after, blocked_after)
             prefix.pop()
-            used[v] = False
 
-    return walk()
+    return walk(0, 0)
 
 
 def _check_cap(g: SimpleGraph, max_vertices: int) -> None:
     if g.vertex_count > max_vertices:
         raise GraphTooLarge(
-            f"{g.vertex_count} vertices exceeds the word-enumeration cap {max_vertices}"
+            f"{g.vertex_count} vertices exceeds the rank-census cap {max_vertices}"
         )
 
 
@@ -113,20 +121,28 @@ def word_classes(
     _check_cap(g, max_vertices)
     if not 0 <= length <= g.vertex_count:
         raise ValueError("length must be between 0 and the vertex count")
-    if length == 0:
-        return frozenset({WordClass(())})
-    return frozenset(
-        WordClass(w) for w in _canonical_words(g.adjacency_masks(), length) if len(w) == length
-    )
+    return frozenset(WordClass(w) for w in _canonical_words(g.adjacency_masks(), length))
 
 
 def rank_vector(g: SimpleGraph, *, max_vertices: int = EXHAUSTIVE_VERTEX_CAP) -> RankVector:
-    """Class counts by word length, from the empty word up to full support."""
+    """Class counts by word length, from the empty word up to full support.
+
+    Counts the canonical words level by level through their automaton
+    states, without building a word: each state maps to the number of
+    canonical words of the current length that reach it.
+    """
     _check_cap(g, max_vertices)
-    counts = [0] * (g.vertex_count + 1)
-    counts[0] = 1
-    for w in _canonical_words(g.adjacency_masks(), g.vertex_count):
-        counts[len(w)] += 1
+    masks = g.adjacency_masks()
+    level = {(0, 0): 1}
+    counts = [1]
+    for _ in range(g.vertex_count):
+        reached: dict[tuple[int, int], int] = {}
+        for (used, blocked), ways in level.items():
+            for _, used_after, blocked_after in _successors(masks, used, blocked):
+                key = (used_after, blocked_after)
+                reached[key] = reached.get(key, 0) + ways
+        counts.append(sum(reached.values()))
+        level = reached
     return RankVector(tuple(counts))
 
 

@@ -78,16 +78,24 @@ def _load_graph(path: str) -> graphs.SimpleGraph:
         raise InputError(str(exc)) from None
 
 
+def _check_vertices(vertices: int, method: str, caps: OracleCaps) -> None:
+    """Refuse a graph above the method's vertex cap; a shape's Ferrers graph
+    has r + L1 vertices, so the check can run before the graph is built."""
+    if method == "rank":
+        cap, name = caps.rank_vertices, "rank-census"
+    else:
+        cap, name = caps.edge_vertices, "edge-recursion"
+    if vertices > cap:
+        raise graphs.GraphTooLarge(f"{vertices} vertices exceeds the {name} cap {cap}")
+
+
 def _beta_for_graph(g: graphs.SimpleGraph, method: str, caps: OracleCaps) -> int:
     if method == "edge":
         return graphs.beta_edge_recursion(g, max_vertices=caps.edge_vertices)
     if method == "rank":
         return boolcomplex.beta_via_rank(g, max_vertices=caps.rank_vertices)
     if method == "xi":
-        if g.vertex_count > caps.edge_vertices:
-            raise graphs.GraphTooLarge(
-                f"{g.vertex_count} vertices exceeds the cap {caps.edge_vertices}"
-            )
+        _check_vertices(g.vertex_count, method, caps)
         return graphs.beta_via_xi(g)
     raise ValueError(f"method {method!r} needs a shape input")
 
@@ -104,6 +112,7 @@ def cmd_beta(args: argparse.Namespace) -> int:
         elif method == "row":
             value = recursion.beta_row_recursion(shape)
         else:
+            _check_vertices(shape.row_count + shape.rows[0], method, caps)
             value = _beta_for_graph(graphs.ferrers_graph(shape), method, caps)
         label = str(shape)
     else:
@@ -170,7 +179,9 @@ def cmd_complex(args: argparse.Namespace) -> int:
     if (args.shape is None) == (args.graph is None):
         raise InputError("complex needs exactly one of --shape or --graph")
     if args.shape is not None:
-        g = graphs.ferrers_graph(parse_shape(args.shape))
+        shape = parse_shape(args.shape)
+        _check_vertices(shape.row_count + shape.rows[0], "rank", caps)
+        g = graphs.ferrers_graph(shape)
     else:
         g = _load_graph(args.graph)
     rv = boolcomplex.rank_vector(g, max_vertices=caps.rank_vertices)

@@ -85,6 +85,23 @@ def test_word_classes_match_sweep_oracle():
             assert got == expected, (g, length)
 
 
+def test_rank_vector_matches_sweep_oracle():
+    rng = random.Random(7)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        g = _random_graph(rng, n)
+        by_sweep = tuple(len(set(classes_by_sweep(g, k).values())) for k in range(n + 1))
+        assert rank_vector(g).counts == by_sweep, g
+
+
+def test_rank_vector_matches_word_listing(atlas_graphs):
+    rng = random.Random(8)
+    random_graphs = [_random_graph(rng, rng.randint(7, 8)) for _ in range(10)]
+    for g in atlas_up_to(atlas_graphs, 6) + random_graphs:
+        listed = tuple(len(word_classes(g, k)) for k in range(g.vertex_count + 1))
+        assert rank_vector(g).counts == listed, g
+
+
 def test_canonical_form_matches_sweep_oracle():
     rng = random.Random(99)
     for _ in range(30):

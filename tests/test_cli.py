@@ -6,7 +6,16 @@ from pathlib import Path
 
 import pytest
 
-from ferrersbool import beta_triangle, rectangle, recursion, sequences, staircase, triangle
+from ferrersbool import (
+    beta_triangle,
+    boolcomplex,
+    graphs,
+    rectangle,
+    recursion,
+    sequences,
+    staircase,
+    triangle,
+)
 from ferrersbool.cli import EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
 
 
@@ -222,6 +231,23 @@ def test_complex_cap(capsys):
     assert code == EXIT_CAP
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["complex"], ["beta", "--method", "edge"], ["beta", "--method", "rank"],
+     ["beta", "--method", "xi"]],
+)
+def test_vertex_cap_checked_before_the_graph_is_built(capsys, monkeypatch, argv):
+    # one row of length 10**50: its Ferrers graph would have 10**50 + 1 vertices
+    def unbuildable(shape):
+        raise AssertionError(f"built the graph of {shape}")
+
+    monkeypatch.setattr(graphs, "ferrers_graph", unbuildable)
+    code, out, err = run(capsys, *argv, "--shape", str(10**50))
+    assert code == EXIT_CAP and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("cap exceeded:")
+
+
 VERIFY_CHECKS = [
     "beta-methods-agree",
     "beta-zero-iff-zero-row",
@@ -252,6 +278,16 @@ def test_verify_fails_on_wrong_row_recursion(capsys, monkeypatch):
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
     assert len(failed) == 1
     assert failed[0].startswith("FAIL beta-methods-agree (row disagrees on ")
+
+
+def test_verify_fails_on_wrong_rank_census(capsys, monkeypatch):
+    right = boolcomplex.beta_via_rank
+    monkeypatch.setattr(boolcomplex, "beta_via_rank", lambda g, **caps: right(g, **caps) + 1)
+    code, out, _ = run(capsys, "verify", "--cells", "3")
+    assert code == EXIT_VERIFY
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert len(failed) == 1
+    assert failed[0].startswith("FAIL beta-methods-agree (rank disagrees on ")
 
 
 def test_verify_fails_on_wrong_cost_model(capsys, monkeypatch):
