@@ -7,7 +7,6 @@ independent oracles used to cross-check it.
 
 from .boolcomplex import RankVector, WordClass, beta_via_rank, canonical_form, rank_vector, word_classes
 from .graphs import (
-    EdgeNotPresent,
     GraphTooLarge,
     MultiGraph,
     SimpleGraph,
@@ -16,12 +15,8 @@ from .graphs import (
     beta_via_xi,
     bichromatic_via_xi,
     bivariate_chromatic_count,
-    contract_edge,
-    delete_edge,
-    extract_edge,
     ferrers_graph,
     parse_edge_list,
-    simple_contract_edge,
     xi_polynomial,
 )
 from .recursion import beta_row_recursion
@@ -42,8 +37,6 @@ from .shapes import (
     NotAPartition,
     ParseError,
     ShapeError,
-    ShiftTooNegative,
-    TooFewRows,
     enumerate_shapes,
     parse_shape,
     random_shape,
@@ -62,7 +55,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CostReport",
-    "EdgeNotPresent",
     "EmptyShape",
     "FerrersShape",
     "GraphTooLarge",
@@ -72,9 +64,7 @@ __all__ = [
     "ParseError",
     "RankVector",
     "ShapeError",
-    "ShiftTooNegative",
     "SimpleGraph",
-    "TooFewRows",
     "TrivariatePolynomial",
     "WordClass",
     "beta_complete_bipartite",
@@ -88,10 +78,7 @@ __all__ = [
     "bivariate_chromatic_count",
     "canonical_form",
     "chat_gf_check",
-    "contract_edge",
-    "delete_edge",
     "enumerate_shapes",
-    "extract_edge",
     "ferrers_graph",
     "genocchi2",
     "genocchi_ls_identity",
@@ -105,7 +92,6 @@ __all__ = [
     "random_shape",
     "rank_vector",
     "rectangle",
-    "simple_contract_edge",
     "staircase",
     "stirling2",
     "word_classes",

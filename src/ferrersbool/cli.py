@@ -94,10 +94,8 @@ def _beta_for_graph(g: graphs.SimpleGraph, method: str, caps: OracleCaps) -> int
         return graphs.beta_edge_recursion(g, max_vertices=caps.edge_vertices)
     if method == "rank":
         return boolcomplex.beta_via_rank(g, max_vertices=caps.rank_vertices)
-    if method == "xi":
-        _check_vertices(g.vertex_count, method, caps)
-        return graphs.beta_via_xi(g)
-    raise ValueError(f"method {method!r} needs a shape input")
+    _check_vertices(g.vertex_count, method, caps)
+    return graphs.beta_via_xi(g)
 
 
 def cmd_beta(args: argparse.Namespace) -> int:

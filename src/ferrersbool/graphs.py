@@ -1,12 +1,12 @@
-"""Graph-level oracles: Ferrers graphs, the four edge operations, the boolean
-number edge recursion, and the trivariate edge-elimination polynomial with its
-bivariate chromatic specializations.
+"""Graph-level oracles: Ferrers graphs, the boolean number edge recursion, and
+the trivariate edge-elimination polynomial with its bivariate chromatic
+specializations.
 
 The edge recursion and the polynomial are the same three-way recursion
 (delete, contract, extract an edge), and both run on `MultiGraph` through the
-same private edge operations that back the public ones: removing copies of an
-edge, and dropping a vertex or merging it into another in one renumbering
-pass.  Each is memoized per call on the exact reduced graph.
+same private edge operations: removing copies of an edge, and dropping a
+vertex or merging it into another in one renumbering pass.  Each is memoized
+per call on the exact reduced graph.
 
 These paths are intentionally expensive; they exist to cross-check the
 triangle engine on desk-scale inputs and are guarded by vertex-count caps.
@@ -22,10 +22,6 @@ from .shapes import FerrersShape
 
 EDGE_RECURSION_VERTEX_CAP = 12
 EXHAUSTIVE_VERTEX_CAP = 8
-
-
-class EdgeNotPresent(ValueError):
-    """The named edge is not in the graph."""
 
 
 class GraphTooLarge(RuntimeError):
@@ -61,16 +57,6 @@ class SimpleGraph:
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
-    def degrees(self) -> tuple[int, ...]:
-        deg = [0] * self.vertex_count
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
 
     def adjacency_masks(self) -> tuple[int, ...]:
         masks = [0] * self.vertex_count
@@ -186,41 +172,6 @@ def _extract(g: MultiGraph, u: int, v: int) -> MultiGraph:
     """g without both endpoints of the edge (u, v), u <= v, and their edges."""
     g = _remove_vertex(g, v)
     return g if u == v else _remove_vertex(g, u)
-
-
-def _simple(g: MultiGraph) -> SimpleGraph:
-    return SimpleGraph(g.vertex_count, frozenset(e for e, _ in g.edges if e[0] != e[1]))
-
-
-def _edge_operation(op, g, e) -> MultiGraph:
-    u, v = sorted(e)
-    mg = _as_multigraph(g)
-    if not any(pair == (u, v) for pair, _ in mg.edges):
-        raise EdgeNotPresent(f"({u}, {v})")
-    return op(mg, u, v)
-
-
-def delete_edge(g, e):
-    """Remove one copy of e; the graph kind is preserved."""
-    out = _edge_operation(_delete, g, e)
-    return _simple(out) if isinstance(g, SimpleGraph) else out
-
-
-def contract_edge(g, e) -> MultiGraph:
-    """Merge the endpoints of e keeping multiplicities; extra parallel copies
-    of e survive as loops at the merged vertex."""
-    return _edge_operation(_contract, g, e)
-
-
-def simple_contract_edge(g: SimpleGraph, e) -> SimpleGraph:
-    """Contract then drop loops and redundant parallel edges."""
-    return _simple(_edge_operation(_contract, g, e))
-
-
-def extract_edge(g, e):
-    """Remove both endpoints of e and every incident edge; kind preserved."""
-    out = _edge_operation(_extract, g, e)
-    return _simple(out) if isinstance(g, SimpleGraph) else out
 
 
 # ---------------------------------------------------------------------------

@@ -30,14 +30,6 @@ class EmptyShape(ShapeError):
     """Operation needs at least one nonempty row."""
 
 
-class TooFewRows(ShapeError):
-    """Operation needs at least two rows."""
-
-
-class ShiftTooNegative(ShapeError):
-    """Shift would make the bottom row negative."""
-
-
 @dataclass(frozen=True)
 class FerrersShape:
     """An integer partition with a fixed number of rows; trailing zero rows allowed."""
@@ -88,18 +80,6 @@ class FerrersShape:
             cols.extend([height] * (length - len(cols)))
             height -= len(list(run))
         return FerrersShape(tuple(cols))
-
-    def drop_last_row(self) -> "FerrersShape":
-        """Shape without its bottom row."""
-        if len(self.rows) == 1:
-            raise TooFewRows("cannot drop the only row")
-        return FerrersShape(self.rows[:-1])
-
-    def shift(self, t: int) -> "FerrersShape":
-        """Add t to every row (append t full-height columns; delete them if t < 0)."""
-        if t < -self.rows[-1]:
-            raise ShiftTooNegative(f"shift by {t} would make the bottom row negative")
-        return FerrersShape(tuple(x + t for x in self.rows))
 
     def __str__(self) -> str:
         return ",".join(str(x) for x in self.rows)

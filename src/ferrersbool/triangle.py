@@ -5,7 +5,11 @@ row i follows from row i-1 with exponent d_i = L_{i-1} - L_i:
 
     c(i, j) = j * (j-1)**d_i * c(i-1, j-1)  -  (j+1) * j**d_i * c(i-1, j)
 
-with the convention 0**0 = 1 (Python's pow already honours it).  The boolean
+with the convention 0**0 = 1 (Python's pow already honours it).  Both terms
+are values of t(k) = (k+1) * k**d_i * c(i-1, k), so the kernel computes the
+row as the backward difference c(i, j) = t(j-1) - t(j), with t(-1) and
+t(i) zero: one product with a big entry per column, and k**d_i raised only
+for the i columns of row i-1, never for the empty column past it.  The boolean
 number is sum_j c(r, j) * j**Lr, again with 0**0 = 1, so a zero bottom row
 yields the row sum, which is zero.  Without a zero row the number is the same
 for the shape and its transpose; beta_triangle runs the cheaper of the two.
@@ -36,14 +40,17 @@ class CostReport:
 
 
 def next_values(prev: tuple[int, ...], d: int) -> tuple[int, ...]:
-    """Apply the row update with exponent d; entries outside the row are zero."""
+    """Apply the row update with exponent d as the backward difference of
+    t(k) = (k+1) * k**d * prev[k]; entries outside the row are zero."""
     if d < 0:
         raise ValueError("difference exponent must be >= 0")
     out = []
-    for j in range(len(prev) + 1):
-        left = prev[j - 1] if j >= 1 else 0
-        right = prev[j] if j < len(prev) else 0
-        out.append(j * (j - 1) ** d * left - (j + 1) * j**d * right)
+    prior = 0
+    for k, c in enumerate(prev):
+        t = (k + 1) * k**d * c
+        out.append(prior - t)
+        prior = t
+    out.append(prior)
     return tuple(out)
 
 

@@ -134,6 +134,15 @@ def test_beta_prints_values_past_4300_digits(capsys):
     assert code == EXIT_OK and json.loads(out)["beta"] == expected
 
 
+def test_huge_row_difference(capsys):
+    # d = 10**50 - 1 on row 2: the kernel raises k**d only for columns 0 and 1
+    shape = f"{10**50},1"
+    code, out, _ = run(capsys, "beta", "--shape", shape)
+    assert code == EXIT_OK and out.strip() == "2"
+    code, out, _ = run(capsys, "triangle", "--shape", shape)
+    assert code == EXIT_OK and out.splitlines() == ["-1\t1", "0\t-2\t2"]
+
+
 def test_triangle_tsv(capsys):
     code, out, _ = run(capsys, "triangle", "--shape", "3,2,1")
     assert code == EXIT_OK

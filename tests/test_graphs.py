@@ -4,7 +4,6 @@ import random
 import pytest
 
 from ferrersbool import (
-    EdgeNotPresent,
     GraphTooLarge,
     MultiGraph,
     SimpleGraph,
@@ -14,14 +13,11 @@ from ferrersbool import (
     beta_via_xi,
     bichromatic_via_xi,
     bivariate_chromatic_count,
-    contract_edge,
-    delete_edge,
-    extract_edge,
     ferrers_graph,
+    graphs,
     parse_edge_list,
     parse_shape,
     rectangle,
-    simple_contract_edge,
     xi_polynomial,
 )
 
@@ -35,55 +31,46 @@ def complete_graph(n):
 def test_ferrers_graph_structure():
     g = ferrers_graph(parse_shape("4,4,2"))
     assert g.vertex_count == 7
-    assert g.degrees() == (4, 4, 2, 3, 3, 2, 2)
-    assert g.has_edge(0, 6) and g.has_edge(2, 4) and not g.has_edge(2, 5)
-    # the two sides are independent sets
-    assert all(not g.has_edge(u, v) for u, v in itertools.combinations(range(3), 2))
-    assert all(not g.has_edge(u, v) for u, v in itertools.combinations(range(3, 7), 2))
+    # rows 0..2 join the first 4, 4 and 2 columns 3..6; no other pair is joined
+    assert g.edges == frozenset(
+        {(0, 3), (0, 4), (0, 5), (0, 6), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4)}
+    )
 
 
 def test_ferrers_graph_star_and_rectangle():
     star = ferrers_graph(parse_shape("5"))
-    assert star.vertex_count == 6 and star.degrees() == (5, 1, 1, 1, 1, 1)
+    assert star.vertex_count == 6
+    assert star.edges == frozenset((0, j) for j in range(1, 6))
     krk = ferrers_graph(rectangle(2, 3))
     assert sorted(krk.edge_list()) == [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4)]
     isolated = ferrers_graph(parse_shape("2,0"))
-    assert isolated.degrees() == (2, 0, 1, 1)
+    assert isolated.vertex_count == 4
+    assert isolated.edges == frozenset({(0, 2), (0, 3)})
 
 
 def test_edge_operations():
-    k2 = SimpleGraph.from_edges(2, [(0, 1)])
-    assert extract_edge(k2, (0, 1)).vertex_count == 0
+    # the private operations behind the edge recursion and xi
+    k2 = MultiGraph.from_pairs(2, [(0, 1)])
+    assert graphs._extract(k2, 0, 1).vertex_count == 0
 
-    path = SimpleGraph.from_edges(3, [(0, 1), (1, 2)])
-    contracted = contract_edge(path, (0, 1))
+    path = MultiGraph.from_pairs(3, [(0, 1), (1, 2)])
+    contracted = graphs._contract(path, 0, 1)
     assert contracted.vertex_count == 2 and contracted.edges == (((0, 1), 1),)
 
-    c4 = SimpleGraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    tri = simple_contract_edge(c4, (0, 1))
-    assert tri.vertex_count == 3 and len(tri.edges) == 3
+    k3 = MultiGraph.from_pairs(3, itertools.combinations(range(3), 2))
+    assert graphs._contract(k3, 0, 1).edges == (((0, 1), 2),)
 
-    k3 = complete_graph(3)
-    doubled = contract_edge(k3, (0, 1))
-    assert doubled.edges == (((0, 1), 2),)
-    assert simple_contract_edge(k3, (0, 1)).edges == frozenset({(0, 1)})
-
-    assert delete_edge(k2, (0, 1)).edges == frozenset()
+    assert graphs._delete(k2, 0, 1).edges == ()
     multi = MultiGraph.from_pairs(2, [(0, 1), (0, 1)])
-    assert delete_edge(multi, (0, 1)).edges == (((0, 1), 1),)
-
-    with pytest.raises(EdgeNotPresent):
-        delete_edge(SimpleGraph.from_edges(3, [(0, 1)]), (1, 2))
-    with pytest.raises(EdgeNotPresent):
-        contract_edge(path, (0, 2))
-    with pytest.raises(EdgeNotPresent):
-        extract_edge(multi, (1, 1))
+    assert graphs._delete(multi, 0, 1).edges == (((0, 1), 1),)
 
 
 def test_contraction_keeps_loops_from_parallel_pairs():
     double = MultiGraph.from_pairs(2, [(0, 1), (0, 1)])
-    looped = contract_edge(double, (0, 1))
+    looped = graphs._contract(double, 0, 1)
     assert looped.vertex_count == 1 and looped.edges == (((0, 0), 1),)
+    # contracting the loop only deletes it
+    assert graphs._contract(looped, 0, 0) == MultiGraph(1, ())
 
 
 def test_beta_edge_recursion_bases():

@@ -1,10 +1,17 @@
+import itertools
+import random
+
 from ferrersbool import (
+    FerrersShape,
     beta_row_recursion,
     beta_triangle,
     enumerate_shapes,
     parse_shape,
+    predicted_cost,
+    random_shape,
     staircase,
 )
+from ferrersbool.triangle import predicted_transpose_cost
 
 
 def test_base_cases():
@@ -40,3 +47,32 @@ def test_handles_many_rows_iteratively():
     tall = parse_shape(str(2000)).transpose()
     assert tall.row_count == 2000
     assert beta_row_recursion(tall) == 1
+
+
+def test_agrees_with_triangle_at_scale():
+    # The production path, orientation choice included, against the recursion
+    # on shapes of 100-3000 cells, far past the exhaustive sweeps above.
+    rng = random.Random(2008)
+
+    def drawn(rows, lo, hi):
+        lengths = sorted((rng.randint(lo, hi) for _ in range(rows)), reverse=True)
+        return FerrersShape(tuple(lengths))
+
+    def is_tie(s):
+        return predicted_cost(s) == predicted_transpose_cost(s) and s != s.transpose()
+
+    ties = (drawn(rng.randint(10, 30), 1, 30) for _ in itertools.count())
+    tie = next(s for s in ties if s.cell_count >= 100 and is_tie(s))
+    shapes = [
+        *(random_shape(cells, rng) for cells in (100, 800, 3000)),
+        drawn(40, 10, 70),  # wide: runs as given
+        drawn(25, 30, 120),
+        drawn(300, 1, 8),  # tall and narrow: runs transposed
+        drawn(120, 2, 25),
+        FerrersShape(drawn(30, 5, 60).rows + (1,)),  # one-cell bottom row
+        tie,  # equal cost: runs as given
+    ]
+    transposed = [predicted_transpose_cost(s) < predicted_cost(s) for s in shapes]
+    assert sum(transposed) >= 3 and not all(transposed)
+    for shape in shapes:
+        assert beta_triangle(shape) == beta_row_recursion(shape), shape

@@ -7,8 +7,6 @@ from ferrersbool import (
     FerrersShape,
     NotAPartition,
     ParseError,
-    ShiftTooNegative,
-    TooFewRows,
     enumerate_shapes,
     parse_shape,
     random_shape,
@@ -16,9 +14,6 @@ from ferrersbool import (
     staircase,
 )
 
-shapes = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=7).map(
-    lambda xs: FerrersShape(tuple(sorted(xs, reverse=True)))
-)
 positive_shapes = st.lists(st.integers(min_value=1, max_value=9), min_size=1, max_size=7).map(
     lambda xs: FerrersShape(tuple(sorted(xs, reverse=True)))
 )
@@ -66,33 +61,6 @@ def test_transpose_matches_column_counts():
 @given(positive_shapes)
 def test_transpose_involution(shape):
     assert shape.transpose().transpose() == shape
-
-
-def test_drop_last_row():
-    assert parse_shape("7,7,7,6,4,4,2").drop_last_row().rows == (7, 7, 7, 6, 4, 4)
-    assert parse_shape("3,0").drop_last_row().rows == (3,)
-    with pytest.raises(TooFewRows):
-        parse_shape("1").drop_last_row()
-
-
-def test_shift():
-    assert parse_shape("4,4,2").shift(1).rows == (5, 5, 3)
-    assert parse_shape("4,4,2").shift(-2).rows == (2, 2, 0)
-    with pytest.raises(ShiftTooNegative):
-        parse_shape("4,4,2").shift(-3)
-
-
-@given(shapes, st.integers(min_value=0, max_value=5))
-def test_shift_cell_count(shape, t):
-    shifted = shape.shift(t)
-    assert shifted.cell_count == shape.cell_count + t * shape.row_count
-
-
-@given(shapes.filter(lambda s: s.row_count > 1), st.integers(min_value=-3, max_value=3))
-def test_drop_and_shift_commute(shape, t):
-    if t < -shape.rows[-1]:
-        return
-    assert shape.drop_last_row().shift(t) == shape.shift(t).drop_last_row()
 
 
 def test_staircase_and_rectangle():
