@@ -5,7 +5,7 @@ recursion, the edge-elimination polynomial, and the word-complex census are
 independent oracles used to cross-check it.
 """
 
-from .boolcomplex import RankVector, WordClass, beta_via_rank, canonical_form, rank_vector, word_classes
+from .boolcomplex import beta_via_rank, rank_vector
 from .graphs import (
     GraphTooLarge,
     MultiGraph,
@@ -62,11 +62,9 @@ __all__ = [
     "NonIntegerResult",
     "NotAPartition",
     "ParseError",
-    "RankVector",
     "ShapeError",
     "SimpleGraph",
     "TrivariatePolynomial",
-    "WordClass",
     "beta_complete_bipartite",
     "beta_edge_recursion",
     "beta_row_recursion",
@@ -76,7 +74,6 @@ __all__ = [
     "beta_via_xi",
     "bichromatic_via_xi",
     "bivariate_chromatic_count",
-    "canonical_form",
     "chat_gf_check",
     "enumerate_shapes",
     "ferrers_graph",
@@ -94,6 +91,5 @@ __all__ = [
     "rectangle",
     "staircase",
     "stirling2",
-    "word_classes",
     "xi_polynomial",
 ]

@@ -183,7 +183,7 @@ def cmd_complex(args: argparse.Namespace) -> int:
     else:
         g = _load_graph(args.graph)
     rv = boolcomplex.rank_vector(g, max_vertices=caps.rank_vertices)
-    print(_dump_json([str(c) for c in rv.counts]))
+    print(_dump_json([str(c) for c in rv]))
     return EXIT_OK
 
 
@@ -308,8 +308,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.count is not None:
         if args.count < 1:
             raise InputError("--count must be >= 1")
-        if not args.cells or args.cells < 1:
+        if args.cells is None:
             raise InputError("--count needs --cells for random shapes")
+        if args.cells < 1:
+            raise InputError("--cells must be >= 1")
         rng = random.Random(args.seed)
         shapes.extend(random_shape(args.cells, rng) for _ in range(args.count))
     if not shapes:

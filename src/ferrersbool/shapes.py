@@ -146,18 +146,16 @@ def enumerate_shapes(n_max: int, allow_zero_rows: bool = False) -> Iterator[Ferr
                 yield FerrersShape(parts + (0,))
 
 
-def random_shape(cells: int, rng: random.Random, rows: int | None = None) -> FerrersShape:
+def random_shape(cells: int, rng: random.Random) -> FerrersShape:
     """A random partition of exactly `cells` cells with all rows positive.
 
-    The row count is uniform in 1..cells unless given; rows come from a
-    uniformly random composition, sorted.  Not uniform over partitions, which
-    is fine for the sweeps this feeds.
+    The row count is uniform in 1..cells; rows come from a uniformly random
+    composition, sorted.  Not uniform over partitions, which is fine for the
+    sweeps this feeds.
     """
     if cells < 1:
         raise ValueError("cells must be >= 1")
-    r = rng.randint(1, cells) if rows is None else rows
-    if not 1 <= r <= cells:
-        raise ValueError("rows must be between 1 and cells")
+    r = rng.randint(1, cells)
     cuts = sorted(rng.sample(range(1, cells), r - 1))
     bounds = [0] + cuts + [cells]
     parts = sorted((b - a for a, b in zip(bounds, bounds[1:])), reverse=True)

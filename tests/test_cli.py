@@ -413,6 +413,21 @@ def test_bench_bad_count(capsys, count):
     assert err == "input error: --count must be >= 1\n"
 
 
+@pytest.mark.parametrize(
+    ("cells", "message"),
+    [
+        (["--cells", "0"], "--cells must be >= 1"),
+        (["--cells", "-3"], "--cells must be >= 1"),
+        ([], "--count needs --cells for random shapes"),
+    ],
+    ids=["0", "-3", "missing"],
+)
+def test_bench_bad_cells(capsys, cells, message):
+    code, out, err = run(capsys, "bench", "--count", "2", *cells)
+    assert code == EXIT_INPUT and out == ""
+    assert err == f"input error: {message}\n"
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)

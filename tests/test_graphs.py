@@ -104,18 +104,6 @@ def test_edge_recursion_relabelling_invariance(atlas_graphs):
             assert beta_edge_recursion(relabelled) == expected
 
 
-def test_xi_base_cases():
-    x = TrivariatePolynomial.monomial(1, 1, 0, 0)
-    y = TrivariatePolynomial.monomial(1, 0, 1, 0)
-    z = TrivariatePolynomial.monomial(1, 0, 0, 1)
-    for n in range(4):
-        assert xi_polynomial(SimpleGraph.from_edges(n, [])) == TrivariatePolynomial.monomial(
-            1, n, 0, 0
-        )
-    k2 = SimpleGraph.from_edges(2, [(0, 1)])
-    assert xi_polynomial(k2) == x * x + x * y + z
-
-
 def test_xi_rejects_loops():
     looped = MultiGraph(1, (((0, 0), 1),))
     with pytest.raises(ValueError):
