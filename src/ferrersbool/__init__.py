@@ -9,8 +9,6 @@ from .boolcomplex import beta_via_rank, rank_vector
 from .graphs import (
     GraphTooLarge,
     MultiGraph,
-    SimpleGraph,
-    TrivariatePolynomial,
     beta_edge_recursion,
     beta_via_xi,
     bichromatic_via_xi,
@@ -63,8 +61,6 @@ __all__ = [
     "NotAPartition",
     "ParseError",
     "ShapeError",
-    "SimpleGraph",
-    "TrivariatePolynomial",
     "beta_complete_bipartite",
     "beta_edge_recursion",
     "beta_row_recursion",

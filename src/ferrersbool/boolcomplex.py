@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import EXHAUSTIVE_VERTEX_CAP, GraphTooLarge, SimpleGraph
+from .graphs import EXHAUSTIVE_VERTEX_CAP, GraphTooLarge, MultiGraph
 
 
 def _successors(
@@ -42,7 +42,7 @@ def _successors(
 
 
 def rank_vector(
-    g: SimpleGraph, *, max_vertices: int = EXHAUSTIVE_VERTEX_CAP
+    g: MultiGraph, *, max_vertices: int = EXHAUSTIVE_VERTEX_CAP
 ) -> tuple[int, ...]:
     """Class counts by word length, from the empty word (1) up to full support.
 
@@ -68,7 +68,7 @@ def rank_vector(
     return tuple(counts)
 
 
-def beta_via_rank(g: SimpleGraph, *, max_vertices: int = EXHAUSTIVE_VERTEX_CAP) -> int:
+def beta_via_rank(g: MultiGraph, *, max_vertices: int = EXHAUSTIVE_VERTEX_CAP) -> int:
     """beta(G) = (-1)**|G| * (rank polynomial at -1)."""
     counts = rank_vector(g, max_vertices=max_vertices)
     return (-1) ** g.vertex_count * sum((-1) ** k * c for k, c in enumerate(counts))

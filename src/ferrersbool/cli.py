@@ -70,7 +70,7 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _load_graph(path: str) -> graphs.SimpleGraph:
+def _load_graph(path: str) -> graphs.MultiGraph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return graphs.parse_edge_list(handle.read())
@@ -89,7 +89,7 @@ def _check_vertices(vertices: int, method: str, caps: OracleCaps) -> None:
         raise graphs.GraphTooLarge(f"{vertices} vertices exceeds the {name} cap {cap}")
 
 
-def _beta_for_graph(g: graphs.SimpleGraph, method: str, caps: OracleCaps) -> int:
+def _beta_for_graph(g: graphs.MultiGraph, method: str, caps: OracleCaps) -> int:
     if method == "edge":
         return graphs.beta_edge_recursion(g, max_vertices=caps.edge_vertices)
     if method == "rank":

@@ -2,11 +2,14 @@
 the trivariate edge-elimination polynomial with its bivariate chromatic
 specializations.
 
-The edge recursion and the polynomial are the same three-way recursion
-(delete, contract, extract an edge), and both run on `MultiGraph` through the
-same private edge operations: removing copies of an edge, and dropping a
-vertex or merging it into another in one renumbering pass.  Each is memoized
-per call on the exact reduced graph.
+`MultiGraph` is the one graph type: Ferrers graphs, graph files and every
+reduction are edge-multiplicity tuples.  The edge recursion and the
+polynomial are the same three-way recursion (delete, contract, extract an
+edge), and both run on it through the same private edge operations: removing
+copies of an edge, and dropping a vertex or merging it into another in one
+renumbering pass.  Each is memoized per call on the exact reduced graph.  The
+polynomial is a plain dict from exponent triples (a, b, c) to the coefficient
+of x^a y^b z^c.
 
 These paths are intentionally expensive; they exist to cross-check the
 triangle engine on desk-scale inputs and are guarded by vertex-count caps.
@@ -29,42 +32,8 @@ class GraphTooLarge(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# graph values
+# the graph value
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Loop-free graph with at most one edge per vertex pair."""
-
-    vertex_count: int
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if self.vertex_count < 0:
-            raise ValueError(f"vertex count {self.vertex_count} is negative")
-        for u, v in self.edges:
-            if not (0 <= u < v < self.vertex_count):
-                raise ValueError(f"bad edge ({u}, {v}) for {self.vertex_count} vertices")
-
-    @classmethod
-    def from_edges(cls, vertex_count, pairs) -> "SimpleGraph":
-        edges = set()
-        for u, v in pairs:
-            if u == v:
-                raise ValueError(f"loop at vertex {u} not allowed")
-            edges.add((min(u, v), max(u, v)))
-        return cls(vertex_count, frozenset(edges))
-
-    def edge_list(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
-    def adjacency_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
-
 
 @dataclass(frozen=True)
 class MultiGraph:
@@ -90,27 +59,27 @@ class MultiGraph:
     def has_loops(self) -> bool:
         return any(u == v for (u, v), _ in self.edges)
 
+    def adjacency_masks(self) -> tuple[int, ...]:
+        masks = [0] * self.vertex_count
+        for (u, v), _ in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
-def _as_multigraph(g) -> MultiGraph:
-    if isinstance(g, MultiGraph):
-        return g
-    return MultiGraph(g.vertex_count, tuple((e, 1) for e in g.edge_list()))
 
-
-def ferrers_graph(shape: FerrersShape) -> SimpleGraph:
+def ferrers_graph(shape: FerrersShape) -> MultiGraph:
     """Bipartite graph of a shape: row vertices 0..r-1, column vertices
-    r..r+L1-1, with row i joined to the first L_{i+1} column vertices."""
+    r..r+L1-1, with row i joined once to the first L_{i+1} column vertices."""
     r = shape.row_count
-    width = shape.rows[0]
-    edges = set()
-    for i, length in enumerate(shape.rows):
-        for j in range(length):
-            edges.add((i, r + j))
-    return SimpleGraph(r + width, frozenset(edges))
+    edges = tuple(
+        ((i, r + j), 1) for i, length in enumerate(shape.rows) for j in range(length)
+    )
+    return MultiGraph(r + shape.rows[0], edges)
 
 
-def parse_edge_list(text: str) -> SimpleGraph:
-    """Read the CLI graph format: a "n m" header then m lines "u v" (0-based)."""
+def parse_edge_list(text: str) -> MultiGraph:
+    """Read the CLI graph format: a "n m" header then m lines "u v" (0-based).
+    A repeated line, in either order, is read once."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty graph text")
@@ -129,7 +98,7 @@ def parse_edge_list(text: str) -> SimpleGraph:
     for u, v in pairs:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u}, {v}) out of range")
-    return SimpleGraph.from_edges(n, pairs)
+    return MultiGraph.from_pairs(n, {(min(u, v), max(u, v)) for u, v in pairs})
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +176,7 @@ def _beta(g: MultiGraph, memo: dict) -> int:
 
 
 def beta_edge_recursion(
-    g: SimpleGraph, *, max_vertices: int = EDGE_RECURSION_VERTEX_CAP
+    g: MultiGraph, *, max_vertices: int = EDGE_RECURSION_VERTEX_CAP
 ) -> int:
     """beta(G) by the generic three-way edge recursion.
 
@@ -221,109 +190,36 @@ def beta_edge_recursion(
         raise GraphTooLarge(
             f"{g.vertex_count} vertices exceeds the edge-recursion cap {max_vertices}"
         )
-    return _beta(_as_multigraph(g), {})
+    return _beta(g, {})
 
 
 # ---------------------------------------------------------------------------
 # trivariate edge-elimination polynomial
 # ---------------------------------------------------------------------------
 
-class TrivariatePolynomial:
-    """Exact integer polynomial in x, y, z keyed by exponent triples."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        cleaned = {}
-        if terms:
-            for key, coef in dict(terms).items():
-                if coef:
-                    cleaned[tuple(key)] = coef
-        self._terms = cleaned
-
-    @classmethod
-    def zero(cls) -> "TrivariatePolynomial":
-        return cls()
-
-    @classmethod
-    def monomial(cls, coef: int, a: int = 0, b: int = 0, c: int = 0) -> "TrivariatePolynomial":
-        return cls({(a, b, c): coef})
-
-    def terms(self) -> tuple[tuple[tuple[int, int, int], int], ...]:
-        return tuple(sorted(self._terms.items()))
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, TrivariatePolynomial):
-            return self._terms == other._terms
-        if isinstance(other, int):
-            return self._terms == ({(0, 0, 0): other} if other else {})
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.terms())
-
-    def __add__(self, other) -> "TrivariatePolynomial":
-        if isinstance(other, int):
-            other = TrivariatePolynomial.monomial(other)
-        out = dict(self._terms)
-        for key, coef in other._terms.items():
-            out[key] = out.get(key, 0) + coef
-        return TrivariatePolynomial(out)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "TrivariatePolynomial":
-        return TrivariatePolynomial({k: -c for k, c in self._terms.items()})
-
-    def __sub__(self, other) -> "TrivariatePolynomial":
-        if isinstance(other, int):
-            other = TrivariatePolynomial.monomial(other)
-        return self + (-other)
-
-    def __mul__(self, other) -> "TrivariatePolynomial":
-        if isinstance(other, int):
-            return TrivariatePolynomial({k: c * other for k, c in self._terms.items()})
-        out: dict = {}
-        for (a1, b1, c1), k1 in self._terms.items():
-            for (a2, b2, c2), k2 in other._terms.items():
-                key = (a1 + a2, b1 + b2, c1 + c2)
-                out[key] = out.get(key, 0) + k1 * k2
-        return TrivariatePolynomial(out)
-
-    __rmul__ = __mul__
-
-    def evaluate(self, x: int, y: int, z: int) -> int:
-        return sum(coef * x**a * y**b * z**c for (a, b, c), coef in self._terms.items())
-
-    def substitute_y(self, value: int) -> "TrivariatePolynomial":
-        """Collapse the y variable at an integer value; result lives in x, z."""
-        out: dict = {}
-        for (a, b, c), coef in self._terms.items():
-            key = (a, 0, c)
-            out[key] = out.get(key, 0) + coef * value**b
-        return TrivariatePolynomial(out)
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for (a, b, c), coef in self.terms():
-            factors = [str(coef)] if coef != 1 or (a, b, c) == (0, 0, 0) else []
-            for name, exp in (("x", a), ("y", b), ("z", c)):
-                if exp == 1:
-                    factors.append(name)
-                elif exp > 1:
-                    factors.append(f"{name}^{exp}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+_Terms = dict[tuple[int, int, int], int]
 
 
-_Y = TrivariatePolynomial.monomial(1, 0, 1, 0)
-_Z = TrivariatePolynomial.monomial(1, 0, 0, 1)
-_ONE = TrivariatePolynomial.monomial(1)
+def _sum(p: _Terms, q: _Terms) -> _Terms:
+    """p + q as a new term dict; memo entries are shared, so neither changes."""
+    out = dict(p)
+    for key, coef in q.items():
+        out[key] = out.get(key, 0) + coef
+    return out
+
+
+def _product(p: _Terms, q: _Terms) -> _Terms:
+    """p * q as a new term dict, one term per pair of terms."""
+    out: _Terms = {}
+    for (a1, b1, c1), k1 in p.items():
+        for (a2, b2, c2), k2 in q.items():
+            key = (a1 + a2, b1 + b2, c1 + c2)
+            out[key] = out.get(key, 0) + k1 * k2
+    return out
+
+
+def _evaluate(p: _Terms, x: int, y: int, z: int) -> int:
+    return sum(coef * x**a * y**b * z**c for (a, b, c), coef in p.items())
 
 
 def _components(g: MultiGraph) -> list[MultiGraph]:
@@ -350,32 +246,35 @@ def _components(g: MultiGraph) -> list[MultiGraph]:
     return comps
 
 
-def _xi(g: MultiGraph, memo: dict) -> TrivariatePolynomial:
+def _xi(g: MultiGraph, memo: dict) -> _Terms:
     cached = memo.get(g)
     if cached is not None:
         return cached
     if not g.edges:
-        return TrivariatePolynomial.monomial(1, g.vertex_count, 0, 0)
+        return {(g.vertex_count, 0, 0): 1}
     comps = _components(g)
     if len(comps) > 1:
-        poly = _ONE
+        poly = {(0, 0, 0): 1}
         for comp in comps:
-            poly = poly * _xi(comp, memo)
+            poly = _product(poly, _xi(comp, memo))
     else:
         # Loops first, then the most parallel edge; the lowest pair on ties.
         # A loop contracts to its deletion, so its first two terms share a graph.
         (u, v), _ = min(g.edges, key=lambda item: (item[0][0] != item[0][1], -item[1]))
-        poly = (
-            _xi(_delete(g, u, v), memo)
-            + _Y * _xi(_contract(g, u, v), memo)
-            + _Z * _xi(_extract(g, u, v), memo)
-        )
+        deleted = _xi(_delete(g, u, v), memo)
+        contracted = _xi(_contract(g, u, v), memo)
+        extracted = _xi(_extract(g, u, v), memo)
+        # the y and z factors shift an exponent
+        poly = _sum(deleted, {(a, b + 1, c): k for (a, b, c), k in contracted.items()})
+        poly = _sum(poly, {(a, b, c + 1): k for (a, b, c), k in extracted.items()})
     memo[g] = poly
     return poly
 
 
-def xi_polynomial(g) -> TrivariatePolynomial:
-    """The edge-elimination polynomial of a loop-free (multi)graph.
+def xi_polynomial(g: MultiGraph) -> _Terms:
+    """The edge-elimination polynomial of a loop-free (multi)graph, as a new
+    dict from exponent triples (a, b, c) to the coefficient of x^a y^b z^c.
+    Every stored coefficient is positive; absent triples are zero.
 
     Recursion: xi(G) = xi(G-e) + y*xi(G contracted at e) + z*xi(G-[e]),
     multiplicative over disjoint unions, with x per isolated vertex.  Loops
@@ -384,23 +283,23 @@ def xi_polynomial(g) -> TrivariatePolynomial:
     the graph without its vertex, the standard convention for this recursion.
     Memoized per call on the exact reduced form; no global state.
     """
-    if isinstance(g, MultiGraph) and g.has_loops():
+    if g.has_loops():
         raise ValueError("input graph must be loop-free")
-    return _xi(_as_multigraph(g), {})
+    return _xi(g, {})
 
 
-def beta_via_xi(g: SimpleGraph) -> int:
+def beta_via_xi(g: MultiGraph) -> int:
     """beta(G) = (-1)**|G| * xi(G, 0, -1, 1)."""
-    return (-1) ** g.vertex_count * xi_polynomial(g).evaluate(0, -1, 1)
+    return (-1) ** g.vertex_count * _evaluate(xi_polynomial(g), 0, -1, 1)
 
 
-def bichromatic_via_xi(g: SimpleGraph, x: int, y: int) -> int:
+def bichromatic_via_xi(g: MultiGraph, x: int, y: int) -> int:
     """The proper/improper coloring count as the substitution xi(G, x, -1, x-y)."""
-    return xi_polynomial(g).evaluate(x, -1, x - y)
+    return _evaluate(xi_polynomial(g), x, -1, x - y)
 
 
 def bivariate_chromatic_count(
-    g: SimpleGraph, x: int, y: int, *, max_vertices: int = EXHAUSTIVE_VERTEX_CAP
+    g: MultiGraph, x: int, y: int, *, max_vertices: int = EXHAUSTIVE_VERTEX_CAP
 ) -> int:
     """Count colorings with y proper and x-y improper colors by brute force.
 
@@ -413,7 +312,7 @@ def bivariate_chromatic_count(
         raise GraphTooLarge(
             f"{g.vertex_count} vertices exceeds the exhaustive cap {max_vertices}"
         )
-    edges = g.edge_list()
+    edges = [pair for pair, _ in g.edges]
     count = 0
     for coloring in itertools.product(range(x), repeat=g.vertex_count):
         if all(not (coloring[u] == coloring[v] and coloring[u] < y) for u, v in edges):

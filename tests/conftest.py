@@ -1,4 +1,5 @@
-"""Shared fixtures: the unlabeled-graph universes and a word-class oracle."""
+"""Shared fixtures: the unlabeled-graph universes, a word-class oracle and
+two readings of an xi term dict."""
 
 from __future__ import annotations
 
@@ -7,18 +8,18 @@ import itertools
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from ferrersbool import SimpleGraph
+from ferrersbool import MultiGraph
 
 
-def to_simple_graph(nx_graph) -> SimpleGraph:
-    return SimpleGraph.from_edges(nx_graph.number_of_nodes(), list(nx_graph.edges()))
+def to_multigraph(nx_graph) -> MultiGraph:
+    return MultiGraph.from_pairs(nx_graph.number_of_nodes(), list(nx_graph.edges()))
 
 
 @pytest.fixture(scope="session")
 def atlas_graphs():
     """All graphs on 1..7 vertices, one per isomorphism class."""
     return [
-        to_simple_graph(g)
+        to_multigraph(g)
         for g in graph_atlas_g()
         if 1 <= g.number_of_nodes() <= 7
     ]
@@ -28,7 +29,7 @@ def atlas_up_to(graphs, max_vertices):
     return [g for g in graphs if g.vertex_count <= max_vertices]
 
 
-def classes_by_sweep(g: SimpleGraph, length: int) -> dict[tuple[int, ...], tuple[int, ...]]:
+def classes_by_sweep(g: MultiGraph, length: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Oracle: bucket every injective word by the breadth-first closure of
     commuting adjacent swaps; map each word to the lex-least of its class."""
     adj = g.adjacency_masks()
@@ -52,3 +53,17 @@ def classes_by_sweep(g: SimpleGraph, length: int) -> dict[tuple[int, ...], tuple
         for member in seen:
             canon[member] = least
     return canon
+
+
+def xi_at(terms: dict, x: int, y: int, z: int) -> int:
+    """Value of an xi term dict at a point."""
+    return sum(coef * x**a * y**b * z**c for (a, b, c), coef in terms.items())
+
+
+def xi_at_y_minus_one(terms: dict) -> dict:
+    """An xi term dict with y set to -1, as (x, z) exponent pairs; zero
+    coefficients are dropped so equal polynomials compare equal."""
+    folded: dict = {}
+    for (a, b, c), coef in terms.items():
+        folded[(a, c)] = folded.get((a, c), 0) + (-1) ** b * coef
+    return {key: coef for key, coef in folded.items() if coef}

@@ -12,8 +12,6 @@ from contextlib import contextmanager
 from ferrersbool import (
     GraphTooLarge,
     MultiGraph,
-    SimpleGraph,
-    TrivariatePolynomial,
     beta_complete_bipartite,
     beta_edge_recursion,
     beta_triangle,
@@ -32,7 +30,7 @@ from ferrersbool import (
 from ferrersbool import checks
 from ferrersbool.triangle import iter_row_values
 
-from .conftest import atlas_up_to
+from .conftest import atlas_up_to, xi_at, xi_at_y_minus_one
 from .reference_tables import STAIRCASE_BETAS, TRIANGLE_MIXED, TRIANGLE_STAIRCASE7
 
 SHAPE_MIXED = parse_shape("7,7,7,6,4,4,2")
@@ -137,28 +135,25 @@ def test_criterion_07_performance_gap():
 
 def test_criterion_08_polynomial_identities(atlas_graphs):
     with criterion(8, "xi identities and the bivariate chromatic connection hold"):
-        x = TrivariatePolynomial.monomial(1, 1, 0, 0)
-        y = TrivariatePolynomial.monomial(1, 0, 1, 0)
-        z = TrivariatePolynomial.monomial(1, 0, 0, 1)
         for n in range(0, 7):
-            empty = SimpleGraph.from_edges(n, [])
-            assert xi_polynomial(empty) == TrivariatePolynomial.monomial(1, n, 0, 0)
-        k2 = SimpleGraph.from_edges(2, [(0, 1)])
-        assert xi_polynomial(k2) == x * x + x * y + z
+            empty = MultiGraph.from_pairs(n, [])
+            assert xi_polynomial(empty) == {(n, 0, 0): 1}
+        k2 = MultiGraph.from_pairs(2, [(0, 1)])
+        # x^2 + x*y + z
+        assert xi_polynomial(k2) == {(2, 0, 0): 1, (1, 1, 0): 1, (0, 0, 1): 1}
 
         for g in atlas_up_to(atlas_graphs, 5):
-            base = xi_polynomial(g).substitute_y(-1)
-            for extra in g.edge_list():
-                doubled = MultiGraph.from_pairs(
-                    g.vertex_count, list(g.edge_list()) + [extra]
-                )
-                assert xi_polynomial(doubled).substitute_y(-1) == base
+            base = xi_at_y_minus_one(xi_polynomial(g))
+            pairs = [pair for pair, _ in g.edges]
+            for extra in pairs:
+                doubled = MultiGraph.from_pairs(g.vertex_count, pairs + [extra])
+                assert xi_at_y_minus_one(xi_polynomial(doubled)) == base
 
         for g in atlas_up_to(atlas_graphs, 6):
             poly = xi_polynomial(g)
             for xv in range(4):
                 for yv in range(xv + 1):
-                    assert poly.evaluate(xv, -1, xv - yv) == bivariate_chromatic_count(
+                    assert xi_at(poly, xv, -1, xv - yv) == bivariate_chromatic_count(
                         g, xv, yv
                     )
 

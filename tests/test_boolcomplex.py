@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ferrersbool import (
     GraphTooLarge,
-    SimpleGraph,
+    MultiGraph,
     beta_edge_recursion,
     beta_via_rank,
     ferrers_graph,
@@ -20,22 +20,22 @@ from .conftest import atlas_up_to, classes_by_sweep
 
 
 def test_rank_vector_examples():
-    k2 = SimpleGraph.from_edges(2, [(0, 1)])
+    k2 = MultiGraph.from_pairs(2, [(0, 1)])
     assert rank_vector(k2) == (1, 2, 2)
-    d2 = SimpleGraph.from_edges(2, [])
+    d2 = MultiGraph.from_pairs(2, [])
     assert rank_vector(d2) == (1, 2, 1)
-    d1 = SimpleGraph.from_edges(1, [])
+    d1 = MultiGraph.from_pairs(1, [])
     assert rank_vector(d1) == (1, 1)
 
 
 def test_beta_via_rank_examples():
-    assert beta_via_rank(SimpleGraph.from_edges(2, [(0, 1)])) == 1
-    assert beta_via_rank(SimpleGraph.from_edges(2, [])) == 0
+    assert beta_via_rank(MultiGraph.from_pairs(2, [(0, 1)])) == 1
+    assert beta_via_rank(MultiGraph.from_pairs(2, [])) == 0
     assert beta_via_rank(ferrers_graph(parse_shape("2,1"))) == 2
 
 
 def test_cap_enforced():
-    big = SimpleGraph.from_edges(9, [])
+    big = MultiGraph.from_pairs(9, [])
     with pytest.raises(GraphTooLarge):
         rank_vector(big)
     assert beta_via_rank(big, max_vertices=9) == 0
@@ -49,12 +49,12 @@ def test_counts_are_positive_and_start_correctly(atlas_graphs):
         assert all(c >= 1 for c in counts)
 
 
-def _random_graph(rng: random.Random, n: int) -> SimpleGraph:
+def _random_graph(rng: random.Random, n: int) -> MultiGraph:
     pairs = [e for e in itertools.combinations(range(n), 2) if rng.random() < 0.5]
-    return SimpleGraph.from_edges(n, pairs)
+    return MultiGraph.from_pairs(n, pairs)
 
 
-def _sweep_counts(g: SimpleGraph) -> tuple[int, ...]:
+def _sweep_counts(g: MultiGraph) -> tuple[int, ...]:
     return tuple(
         len(set(classes_by_sweep(g, k).values())) for k in range(g.vertex_count + 1)
     )
@@ -77,8 +77,8 @@ def test_rank_vector_matches_sweep_oracle_on_atlas(atlas_graphs):
 
 def test_rank_vector_closed_forms():
     for n in (7, 8):
-        empty = SimpleGraph.from_edges(n, [])
-        complete = SimpleGraph.from_edges(n, list(itertools.combinations(range(n), 2)))
+        empty = MultiGraph.from_pairs(n, [])
+        complete = MultiGraph.from_pairs(n, list(itertools.combinations(range(n), 2)))
         assert rank_vector(empty) == tuple(math.comb(n, k) for k in range(n + 1))
         assert rank_vector(complete) == tuple(math.perm(n, k) for k in range(n + 1))
 
@@ -87,5 +87,5 @@ def test_rank_vector_closed_forms():
 @settings(max_examples=60)
 def test_rank_oracle_agrees_with_edge_recursion_on_five_vertices(mask):
     pairs = [e for i, e in enumerate(itertools.combinations(range(5), 2)) if mask >> i & 1]
-    g = SimpleGraph.from_edges(5, pairs)
+    g = MultiGraph.from_pairs(5, pairs)
     assert beta_via_rank(g) == beta_edge_recursion(g)

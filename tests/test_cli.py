@@ -83,6 +83,15 @@ def test_beta_cap_env_var_invalid(capsys, monkeypatch, value):
     assert len(lines) == 1 and lines[0].startswith("input error: FB_CAP_VERTICES ")
 
 
+# every command that reads a graph file
+GRAPH_ROUTES = [
+    ("beta", "--method", "edge"),
+    ("beta", "--method", "rank"),
+    ("beta", "--method", "xi"),
+    ("complex",),
+]
+
+
 def test_beta_graph_file(capsys, tmp_path):
     path = tmp_path / "k22.txt"
     path.write_text("4 4\n0 2\n0 3\n1 2\n1 3\n")
@@ -92,6 +101,27 @@ def test_beta_graph_file(capsys, tmp_path):
     assert code == EXIT_OK and out.strip() == "5"
     code, _, _ = run(capsys, "beta", "--graph", str(path), "--method", "triangle")
     assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("argv", GRAPH_ROUTES)
+def test_graph_file_repeated_line(capsys, tmp_path, argv):
+    # a repeated line is read once, so no route's answer depends on it
+    once = tmp_path / "c5.txt"
+    once.write_text("5 5\n0 1\n1 2\n2 3\n3 4\n0 4\n")
+    twice = tmp_path / "c5-repeated.txt"
+    twice.write_text("5 6\n0 1\n1 2\n2 3\n3 4\n0 4\n2 1\n")
+    expected = run(capsys, argv[0], "--graph", str(once), *argv[1:])
+    assert expected[0] == EXIT_OK and expected[1].strip()
+    assert run(capsys, argv[0], "--graph", str(twice), *argv[1:]) == expected
+
+
+def test_graph_file_many_repeats_xi(capsys, tmp_path):
+    # xi deletes one parallel copy per step, so repeats kept as copies
+    # would drive its recursion as deep as their number
+    path = tmp_path / "k2-repeated.txt"
+    path.write_text("2 1000\n" + "0 1\n" * 1000)
+    code, out, _ = run(capsys, "beta", "--graph", str(path), "--method", "xi")
+    assert code == EXIT_OK and out.strip() == "1"
 
 
 def test_beta_graph_missing_file(capsys):
@@ -106,15 +136,7 @@ def test_beta_graph_isolated_vertex(capsys, tmp_path):
     assert code == EXIT_OK and out.strip() == "0"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("beta", "--method", "edge"),
-        ("beta", "--method", "rank"),
-        ("beta", "--method", "xi"),
-        ("complex",),
-    ],
-)
+@pytest.mark.parametrize("argv", GRAPH_ROUTES)
 def test_graph_negative_vertex_count(capsys, tmp_path, argv):
     path = tmp_path / "negative.txt"
     path.write_text("-1 0\n")
