@@ -26,7 +26,6 @@ from .sequences import (
     genocchi2,
     genocchi_ls_identity,
     legendre_stirling,
-    legendre_stirling_via_triangle,
     stirling2,
 )
 from .shapes import (
@@ -42,9 +41,7 @@ from .shapes import (
     staircase,
 )
 from .triangle import (
-    CostReport,
     beta_triangle,
-    instrumented_gamma,
     iter_row_values,
     predicted_cost,
 )
@@ -52,7 +49,6 @@ from .triangle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CostReport",
     "EmptyShape",
     "FerrersShape",
     "GraphTooLarge",
@@ -75,10 +71,8 @@ __all__ = [
     "ferrers_graph",
     "genocchi2",
     "genocchi_ls_identity",
-    "instrumented_gamma",
     "iter_row_values",
     "legendre_stirling",
-    "legendre_stirling_via_triangle",
     "parse_edge_list",
     "parse_shape",
     "predicted_cost",

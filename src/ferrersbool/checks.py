@@ -84,16 +84,15 @@ def transpose_invariance(shape: FerrersShape) -> str | None:
     orientations.  Both run as given: beta_triangle would run the cheaper one
     for both."""
     if not shape.has_zero_row and (
-        triangle.beta_as_given(shape.transpose()) != triangle.beta_as_given(shape)
+        triangle.evaluate(shape.transpose())[0] != triangle.evaluate(shape)[0]
     ):
         return f"counterexample {shape}"
     return None
 
 
 def cost_census(shape: FerrersShape) -> str | None:
-    """The multiplication census of the streamed rows equals the closed form."""
-    _, report = triangle.instrumented_gamma(shape)
-    if report.multiplications != report.predicted:
+    """The multiplications charged to the streamed rows equal the closed form."""
+    if triangle.evaluate(shape)[1] != triangle.predicted_cost(shape):
         return f"counterexample {shape}"
     return None
 

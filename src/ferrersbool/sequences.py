@@ -56,15 +56,6 @@ def rescaled_staircase_rows(n: int, d: int = 1) -> Iterator[tuple[int, ...]]:
         )
 
 
-def legendre_stirling_via_triangle(i: int, j: int) -> int:
-    """The same numbers read off row i of the rescaled unit staircase triangle."""
-    if not 1 <= j <= i:
-        raise ValueError("need 1 <= j <= i")
-    for row in rescaled_staircase_rows(i):
-        pass
-    return row[j - 1]
-
-
 def genocchi2_values(n: int) -> Iterator[int]:
     """Genocchi numbers of the second kind g(1..n) via the two-variable recursion
     G(r, x) = (x+1)^2 G(r-1, x+1) - x(x+1) G(r-1, x), G(1, x) = 1, at x = 1.

@@ -126,24 +126,21 @@ def _partitions_of(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_shapes(n_max: int, allow_zero_rows: bool = False) -> Iterator[FerrersShape]:
-    """All shapes with at most n_max cells, each exactly once.
+def enumerate_shapes(n_max: int) -> Iterator[FerrersShape]:
+    """All shapes with at most n_max cells, each exactly once, up to zero rows.
 
-    Without zero rows this is every partition of 1..n_max.  With
-    allow_zero_rows, the single-row zero shape (0,) is included and every
-    partition is followed by the variant with one appended zero row; one
+    The single-row zero shape (0,) comes first, then every partition of
+    1..n_max, each followed by its variant with one appended zero row; one
     zero-row representative per partition suffices because every zero-row
     shape has boolean number zero.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if allow_zero_rows:
-        yield FerrersShape((0,))
+    yield FerrersShape((0,))
     for n in range(1, n_max + 1):
         for parts in _partitions_of(n, n):
             yield FerrersShape(parts)
-            if allow_zero_rows:
-                yield FerrersShape(parts + (0,))
+            yield FerrersShape(parts + (0,))
 
 
 def random_shape(cells: int, rng: random.Random) -> FerrersShape:

@@ -23,20 +23,11 @@ with the row index, so fixed-width arithmetic is never used.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from .shapes import FerrersShape
 
 FIRST_ROW: tuple[int, ...] = (-1, 1)
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Observed vs. closed-form multiplication count of the instrumented run."""
-
-    multiplications: int
-    predicted: int
 
 
 def next_values(prev: tuple[int, ...], d: int) -> tuple[int, ...]:
@@ -75,15 +66,25 @@ def beta_triangle(shape: FerrersShape) -> int:
         return 0
     if predicted_transpose_cost(shape) < predicted_cost(shape):
         shape = shape.transpose()
-    return beta_as_given(shape)
+    return evaluate(shape)[0]
 
 
-def beta_as_given(shape: FerrersShape) -> int:
-    """Boolean number via the triangle of the shape as given: sum_j c(r, j) * j**Lr."""
-    for row in iter_row_values(shape):
-        pass
+def evaluate(shape: FerrersShape) -> tuple[int, int]:
+    """Boolean number of the shape as given, sum_j c(r, j) * j**Lr, and the
+    multiplications the paper's cost model charges for the rows streamed.
+
+    Each update term a * b**d * c is charged d+1 multiplications: d-1 for the
+    power by repeated multiplication and two for the products when d >= 1, a
+    single product when d = 0.  Row i has i+1 entries of two terms each, so it
+    is charged 2*(i+1)*(d_i+1); predicted_cost sums exactly these charges.
+    """
+    rows = iter_row_values(shape)
+    row = next(rows)
+    muls = 0
+    for d, row in zip(shape.differences(), rows):
+        muls += 2 * len(row) * (d + 1)
     bottom = shape.rows[-1]
-    return sum(c * j**bottom for j, c in enumerate(row))
+    return sum(c * j**bottom for j, c in enumerate(row)), muls
 
 
 def predicted_cost(shape: FerrersShape) -> int:
@@ -110,21 +111,3 @@ def predicted_transpose_cost(shape: FerrersShape) -> int:
     full = rows.count(width)
     shorter = sum(rows) - full * width + 2 * (len(rows) - full)
     return 2 * ((width + 1) * (width + 2) // 2 - 3 + shorter)
-
-
-def instrumented_gamma(shape: FerrersShape) -> tuple[tuple[int, ...], CostReport]:
-    """Final triangle row plus the multiplication census of computing it.
-
-    The census applies the paper's cost model to the rows the kernel streams.
-    Each update term a * b**d * c is charged d+1 multiplications: d-1 for the
-    power by repeated multiplication and two for the products when d >= 1, a
-    single product when d = 0.  Row i has i+1 entries of two terms each, so it
-    is charged 2*(i+1)*(d_i+1); the closed form sums exactly these charges.
-    """
-    rows = iter_row_values(shape)
-    row = next(rows)
-    muls = 0
-    for d, row in zip(shape.differences(), rows):
-        muls += 2 * len(row) * (d + 1)
-    report = CostReport(multiplications=muls, predicted=predicted_cost(shape))
-    return row, report

@@ -54,11 +54,12 @@ def test_beta_bad_shape(capsys):
     assert code == EXIT_INPUT and "input error" in err
 
 
-def test_beta_needs_one_source(capsys):
-    code, _, _ = run(capsys, "beta")
-    assert code == EXIT_INPUT
-    code, _, _ = run(capsys, "beta", "--shape", "1", "--graph", "whatever")
-    assert code == EXIT_INPUT
+@pytest.mark.parametrize("command", ["beta", "complex"])
+def test_beta_needs_one_source(capsys, command):
+    for argv in ([command], [command, "--shape", "1", "--graph", "whatever"]):
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_INPUT and out == ""
+        assert err.startswith("input error: ") and err.count("\n") == 1
 
 
 def test_beta_cap_exceeded(capsys):
@@ -333,13 +334,14 @@ def test_verify_fails_on_wrong_cost_model(capsys, monkeypatch):
 def test_verify_fails_on_wrong_transposed_beta(capsys, monkeypatch):
     # wrong only on the costlier orientation, which beta_triangle never runs:
     # the transpose check must run both orientations as given to see it
-    right = triangle.beta_as_given
+    right = triangle.evaluate
 
     def wrong_when_costlier(shape):
+        value, multiplications = right(shape)
         costlier = triangle.predicted_cost(shape) > triangle.predicted_transpose_cost(shape)
-        return right(shape) + costlier
+        return value + costlier, multiplications
 
-    monkeypatch.setattr(triangle, "beta_as_given", wrong_when_costlier)
+    monkeypatch.setattr(triangle, "evaluate", wrong_when_costlier)
     code, out, _ = run(capsys, "verify", "--cells", "3")
     assert code == EXIT_VERIFY
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -413,6 +415,21 @@ def test_bench_staircase_cost_closed_form(capsys):
     assert code == EXIT_OK
     row = out.splitlines()[1].split("\t")
     assert row[4] == row[5] == "20592"  # 2 * sum_{i=2..100} (i+1) * 2
+
+
+def test_bench_streams_each_orientation_once(capsys, monkeypatch):
+    # the timed run is the charged run: one triangle stream per orientation
+    streamed = []
+    right = triangle.iter_row_values
+
+    def recording(shape):
+        streamed.append(str(shape))
+        yield from right(shape)
+
+    monkeypatch.setattr(triangle, "iter_row_values", recording)
+    code, out, _ = run(capsys, "bench", "--shape", "3,1")
+    assert code == EXIT_OK and len(out.splitlines()) == 3
+    assert streamed == ["3,1", "2,1,1"]
 
 
 def test_bench_random_and_infeasible(capsys):

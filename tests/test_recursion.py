@@ -24,7 +24,7 @@ def test_base_cases():
 
 
 def test_agrees_with_triangle_up_to_ten_cells():
-    for shape in enumerate_shapes(10, allow_zero_rows=True):
+    for shape in enumerate_shapes(10):
         assert beta_row_recursion(shape) == beta_triangle(shape), shape
 
 
@@ -34,7 +34,7 @@ def test_agrees_on_staircases():
 
 
 def test_zero_iff_zero_row():
-    for shape in enumerate_shapes(10, allow_zero_rows=True):
+    for shape in enumerate_shapes(10):
         value = beta_row_recursion(shape)
         if shape.has_zero_row:
             assert value == 0

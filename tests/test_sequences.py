@@ -8,7 +8,6 @@ from ferrersbool import (
     genocchi2,
     genocchi_ls_identity,
     legendre_stirling,
-    legendre_stirling_via_triangle,
     rectangle,
     staircase,
     stirling2,
@@ -26,18 +25,12 @@ def test_legendre_stirling_examples():
         legendre_stirling(2, 3)
 
 
-def test_legendre_stirling_via_triangle_examples():
-    assert legendre_stirling_via_triangle(2, 2) == 1
-    assert legendre_stirling_via_triangle(3, 2) == 8
-    assert legendre_stirling_via_triangle(4, 4) == 1
-
-
 def test_legendre_stirling_routes_agree_and_satisfy_recurrence():
+    # the triangle route is compared in test_rescaled_staircase_rows_are_legendre_stirling
     table = {
         (i, j): legendre_stirling(i, j) for i in range(1, 11) for j in range(1, i + 1)
     }
     for (i, j), value in table.items():
-        assert value == legendre_stirling_via_triangle(i, j)
         if i > 1:
             above = table.get((i - 1, j), 0)
             diag = table.get((i - 1, j - 1), 0) if j > 1 else 0

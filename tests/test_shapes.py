@@ -96,14 +96,14 @@ def test_enumerate_shapes_counts_and_uniqueness():
     assert len(seen) == len(set(seen))
     counts = _partition_counts(n_max)
     for n in range(1, n_max + 1):
-        assert sum(1 for s in seen if s.cell_count == n) == counts[n]
+        assert sum(1 for s in seen if s.cell_count == n and not s.has_zero_row) == counts[n]
 
 
 def test_enumerate_shapes_small_cases():
-    got = [s.rows for s in enumerate_shapes(3)]
+    got = [s.rows for s in enumerate_shapes(3) if not s.has_zero_row]
     assert sorted(got) == sorted([(1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)])
-    assert list(enumerate_shapes(0)) == []
-    with_zeros = [s.rows for s in enumerate_shapes(2, allow_zero_rows=True)]
+    assert list(enumerate_shapes(0)) == [FerrersShape((0,))]
+    with_zeros = [s.rows for s in enumerate_shapes(2)]
     assert (1, 0) in with_zeros and (2, 0) in with_zeros and (0,) in with_zeros
     assert len(with_zeros) == len(set(with_zeros))
 

@@ -7,7 +7,6 @@ from ferrersbool import (
     beta_triangle,
     checks,
     enumerate_shapes,
-    instrumented_gamma,
     iter_row_values,
     parse_shape,
     predicted_cost,
@@ -15,9 +14,7 @@ from ferrersbool import (
     staircase,
     triangle,
 )
-from ferrersbool.triangle import beta_as_given, next_values, predicted_transpose_cost
-
-from .reference_tables import TRIANGLE_STAIRCASE7
+from ferrersbool.triangle import evaluate, next_values, predicted_transpose_cost
 
 shapes = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=7).map(
     lambda xs: parse_shape(",".join(str(x) for x in sorted(xs, reverse=True)))
@@ -54,30 +51,23 @@ def test_predicted_cost_examples():
 
 
 def test_instrumented_cost_exact_on_all_small_shapes():
-    for shape in enumerate_shapes(30, allow_zero_rows=True):
-        _, report = instrumented_gamma(shape)
-        assert report.multiplications == report.predicted, shape
+    for shape in enumerate_shapes(30):
+        assert evaluate(shape)[1] == predicted_cost(shape), shape
 
 
 def test_four_methods_agree_up_to_ten_cells():
     # acceptance criterion 2 runs the same check on every shape of <= 9 cells
     caps = checks.OracleCaps(rank_vertices=12, edge_vertices=12)
-    ten_cells = [s for s in enumerate_shapes(10, allow_zero_rows=True) if s.cell_count == 10]
+    ten_cells = [s for s in enumerate_shapes(10) if s.cell_count == 10]
     assert len(ten_cells) == 84
     for shape in ten_cells:
         assert checks.method_agreement(shape, beta_triangle(shape), caps) == ([], []), shape
 
 
-def test_instrumented_gamma_examples():
-    row, report = instrumented_gamma(parse_shape("2,1"))
-    assert row == (0, -2, 2)
-    assert report.multiplications == report.predicted == 12
-    row, report = instrumented_gamma(parse_shape("5"))
-    assert row == (-1, 1)
-    assert report.multiplications == report.predicted == 0
-    row, report = instrumented_gamma(staircase(7, 1))
-    assert row == TRIANGLE_STAIRCASE7[-1]
-    assert report.multiplications == report.predicted
+def test_evaluate_examples():
+    assert evaluate(parse_shape("2,1")) == (2, 12)
+    assert evaluate(parse_shape("5")) == (1, 0)
+    assert evaluate(staircase(5, 1)) == (608, predicted_cost(staircase(5, 1)))
 
 
 @given(shapes)
@@ -120,7 +110,7 @@ def test_rows_only_depend_on_differences(shape):
 @given(shapes.filter(lambda s: not s.has_zero_row))
 def test_beta_transpose_invariance(shape):
     assert checks.transpose_invariance(shape) is None
-    assert beta_triangle(shape) == beta_as_given(shape)
+    assert beta_triangle(shape) == evaluate(shape)[0]
 
 
 @given(shapes.filter(lambda s: not s.has_zero_row))
