@@ -1,4 +1,6 @@
-"""The cross-checks behind ``verify`` and the acceptance gate.
+"""The cross-checks behind ``verify`` and the acceptance gate, and the one
+route to the slow oracles: ``oracle_beta`` runs each of the four, and
+``oracle_graph`` holds the one vertex-cap rule of the three graph oracles.
 
 Each check is defined once here.  The per-shape checks return None when they
 hold and otherwise a one-line description of what broke; the sequence
@@ -13,18 +15,44 @@ triangle: their independence is what makes them cross-checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import boolcomplex, graphs, recursion, sequences, shapes, triangle
 from .shapes import FerrersShape
 
 
-@dataclass(frozen=True)
-class OracleCaps:
-    """Vertex budgets for the exhaustive oracles and the edge recursion."""
+def oracle_graph(
+    method: str, source: FerrersShape | graphs.MultiGraph, cap: int | None = None
+) -> tuple[graphs.MultiGraph, int]:
+    """The graph that oracle `method` runs on, with the vertex cap it obeys.
 
-    rank_vertices: int = graphs.EXHAUSTIVE_VERTEX_CAP
-    edge_vertices: int = graphs.EDGE_RECURSION_VERTEX_CAP
+    The cap is `cap` if given, else 8 for the rank census ("rank") and 12 for
+    the edge recursion and xi ("edge", "xi").  A shape is priced as its
+    Ferrers graph's r + L1 vertices before that graph is built, so a shape of
+    any size gets its GraphTooLarge at once.
+    """
+    rank = method == "rank"
+    if cap is None:
+        cap = graphs.EXHAUSTIVE_VERTEX_CAP if rank else graphs.EDGE_RECURSION_VERTEX_CAP
+    is_shape = isinstance(source, FerrersShape)
+    vertices = source.row_count + source.rows[0] if is_shape else source.vertex_count
+    if vertices > cap:
+        name = "rank-census" if rank else "edge-recursion"
+        raise graphs.GraphTooLarge(f"{vertices} vertices exceeds the {name} cap {cap}")
+    return (graphs.ferrers_graph(source) if is_shape else source), cap
+
+
+def oracle_beta(
+    method: str, source: FerrersShape | graphs.MultiGraph, cap: int | None = None
+) -> int:
+    """beta of a shape or graph by one slow oracle: "row" (shapes only),
+    "edge", "xi" or "rank"; the graph oracles obey `oracle_graph`'s cap."""
+    if method == "row":
+        return recursion.beta_row_recursion(source)
+    g, limit = oracle_graph(method, source, cap)
+    if method == "edge":
+        return graphs.beta_edge_recursion(g, max_vertices=limit)
+    if method == "rank":
+        return boolcomplex.beta_via_rank(g, max_vertices=limit)
+    return graphs.beta_via_xi(g)
 
 
 # ---------------------------------------------------------------------------
@@ -32,28 +60,20 @@ class OracleCaps:
 # ---------------------------------------------------------------------------
 
 def method_agreement(
-    shape: FerrersShape, expected: int, caps: OracleCaps
+    shape: FerrersShape, expected: int, cap: int | None = None
 ) -> tuple[list[str], list[str]]:
     """The oracles whose beta differs from `expected` on shape, in the order
     row, edge, xi, rank; and those skipped because the graph is above their
-    cap ("edge" covers the edge recursion and xi, "rank" the rank census)."""
+    cap."""
     wrong: list[str] = []
     skipped: list[str] = []
-    if recursion.beta_row_recursion(shape) != expected:
-        wrong.append("row")
     g = graphs.ferrers_graph(shape)
-    if g.vertex_count <= caps.edge_vertices:
-        if graphs.beta_edge_recursion(g, max_vertices=caps.edge_vertices) != expected:
-            wrong.append("edge")
-        if graphs.beta_via_xi(g) != expected:
-            wrong.append("xi")
-    else:
-        skipped.append("edge")
-    if g.vertex_count <= caps.rank_vertices:
-        if boolcomplex.beta_via_rank(g, max_vertices=caps.rank_vertices) != expected:
-            wrong.append("rank")
-    else:
-        skipped.append("rank")
+    for method in ("row", "edge", "xi", "rank"):
+        try:
+            if oracle_beta(method, shape if method == "row" else g, cap) != expected:
+                wrong.append(method)
+        except graphs.GraphTooLarge:
+            skipped.append(method)
     return wrong, skipped
 
 

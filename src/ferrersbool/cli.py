@@ -11,8 +11,9 @@ bench     multiplication counts and wall times, triangle vs. edge recursion
 
 Exit codes: 0 success, 1 input error, 2 oracle cap exceeded, 3 verification
 failure, 4 internal error (a fault in the program, reported on one line).
-The environment variable FB_CAP_VERTICES overrides the oracle vertex cap
-like --cap-vertices does.
+Each graph oracle obeys one vertex cap (``checks.oracle_graph``): 8 for the
+rank census, 12 for the edge recursion and xi.  --cap-vertices, or else the
+environment variable FB_CAP_VERTICES, sets it for all three.
 """
 
 from __future__ import annotations
@@ -23,10 +24,10 @@ import os
 import random
 import sys
 import time
+from collections import Counter
 from typing import Iterator
 
-from . import boolcomplex, checks, graphs, recursion, sequences, triangle
-from .checks import OracleCaps
+from . import boolcomplex, checks, graphs, sequences, triangle
 from .shapes import FerrersShape, ShapeError, enumerate_shapes, parse_shape, random_shape
 
 EXIT_OK = 0
@@ -49,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _caps_from(args: argparse.Namespace) -> OracleCaps:
+def _cap_from(args: argparse.Namespace) -> int | None:
     value, source = getattr(args, "cap_vertices", None), "--cap-vertices"
     if value is None:
         env = os.environ.get("FB_CAP_VERTICES")
@@ -59,11 +60,9 @@ def _caps_from(args: argparse.Namespace) -> OracleCaps:
                 value = int(env)
             except ValueError:
                 raise InputError(f"FB_CAP_VERTICES must be an integer, got {env!r}") from None
-    if value is None:
-        return OracleCaps()
-    if value < 1:
+    if value is not None and value < 1:
         raise InputError(f"{source} must be >= 1")
-    return OracleCaps(rank_vertices=value, edge_vertices=value)
+    return value
 
 
 def _dump_json(obj) -> str:
@@ -78,46 +77,22 @@ def _load_graph(path: str) -> graphs.MultiGraph:
         raise InputError(str(exc)) from None
 
 
-def _check_vertices(vertices: int, method: str, caps: OracleCaps) -> None:
-    """Refuse a graph above the method's vertex cap; a shape's Ferrers graph
-    has r + L1 vertices, so the check can run before the graph is built."""
-    if method == "rank":
-        cap, name = caps.rank_vertices, "rank-census"
-    else:
-        cap, name = caps.edge_vertices, "edge-recursion"
-    if vertices > cap:
-        raise graphs.GraphTooLarge(f"{vertices} vertices exceeds the {name} cap {cap}")
-
-
-def _beta_for_graph(g: graphs.MultiGraph, method: str, caps: OracleCaps) -> int:
-    if method == "edge":
-        return graphs.beta_edge_recursion(g, max_vertices=caps.edge_vertices)
-    if method == "rank":
-        return boolcomplex.beta_via_rank(g, max_vertices=caps.rank_vertices)
-    _check_vertices(g.vertex_count, method, caps)
-    return graphs.beta_via_xi(g)
-
-
 def cmd_beta(args: argparse.Namespace) -> int:
-    caps = _caps_from(args)
+    cap = _cap_from(args)
     if args.shape is not None:
-        shape = parse_shape(args.shape)
+        source = parse_shape(args.shape)
         method = args.method or "triangle"
-        if method == "triangle":
-            value = triangle.beta_triangle(shape)
-        elif method == "row":
-            value = recursion.beta_row_recursion(shape)
-        else:
-            _check_vertices(shape.row_count + shape.rows[0], method, caps)
-            value = _beta_for_graph(graphs.ferrers_graph(shape), method, caps)
-        label = str(shape)
+        label = str(source)
     else:
-        g = _load_graph(args.graph)
+        source = _load_graph(args.graph)
         method = args.method or "edge"
         if method in ("triangle", "row"):
             raise InputError(f"method {method!r} does not apply to --graph input")
-        value = _beta_for_graph(g, method, caps)
         label = args.graph
+    if method == "triangle":
+        value = triangle.beta_triangle(source)
+    else:
+        value = checks.oracle_beta(method, source, cap)
     if args.format == "json":
         print(_dump_json({"beta": str(value), "input": label, "method": method}))
     else:
@@ -171,14 +146,10 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 
 
 def cmd_complex(args: argparse.Namespace) -> int:
-    caps = _caps_from(args)
-    if args.shape is not None:
-        shape = parse_shape(args.shape)
-        _check_vertices(shape.row_count + shape.rows[0], "rank", caps)
-        g = graphs.ferrers_graph(shape)
-    else:
-        g = _load_graph(args.graph)
-    rv = boolcomplex.rank_vector(g, max_vertices=caps.rank_vertices)
+    cap = _cap_from(args)
+    source = parse_shape(args.shape) if args.shape is not None else _load_graph(args.graph)
+    g, limit = checks.oracle_graph("rank", source, cap)
+    rv = boolcomplex.rank_vector(g, max_vertices=limit)
     print(_dump_json([str(c) for c in rv]))
     return EXIT_OK
 
@@ -187,7 +158,7 @@ def cmd_complex(args: argparse.Namespace) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
+def run_verify(cells: int, cap: int | None) -> list[tuple[str, str, str]]:
     """Cross-check every method and identity; returns (status, name, detail) rows.
 
     One pass over the shape universe runs every per-shape check of
@@ -199,13 +170,12 @@ def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
 
     failures = []
     first_bad: dict[str, str] = {}  # check name -> its first counterexample
-    skipped = {"rank": 0, "edge": 0}
+    skipped: Counter[str] = Counter()  # oracle -> shapes above its cap
     for shape in universe:
         expected = triangle.beta_triangle(shape)
-        wrong, skips = checks.method_agreement(shape, expected, caps)
+        wrong, skips = checks.method_agreement(shape, expected, cap)
         failures.extend(f"{method} disagrees on {shape}" for method in wrong)
-        for method in skips:
-            skipped[method] += 1
+        skipped.update(skips)
         for name, problem in (
             ("beta-zero-iff-zero-row", checks.zero_iff_zero_row(shape, expected)),
             ("triangle-structure", checks.triangle_structure(shape)),
@@ -247,14 +217,14 @@ def run_verify(cells: int, caps: OracleCaps) -> list[tuple[str, str, str]]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    caps = _caps_from(args)
+    cap = _cap_from(args)
     if args.cells > VERIFY_CELLS_CAP:
         raise graphs.GraphTooLarge(
             f"--cells {args.cells} exceeds the verify cap {VERIFY_CELLS_CAP}"
         )
     if args.cells < 1:
         raise InputError("--cells must be >= 1")
-    results = run_verify(args.cells, caps)
+    results = run_verify(args.cells, cap)
     for status, name, detail in results:
         print(f"{status} {name} ({detail})")
     return EXIT_VERIFY if any(status == "FAIL" for status, _, _ in results) else EXIT_OK
@@ -269,7 +239,7 @@ def _bench_label(shape: FerrersShape) -> str:
     return text if len(text) <= 40 else text[:37] + "..."
 
 
-def _bench_row(shape: FerrersShape, tag: str, caps: OracleCaps) -> tuple[list, bool]:
+def _bench_row(shape: FerrersShape, tag: str, cap: int | None) -> tuple[list, bool]:
     # Time one run on this orientation as given, the run that is charged, so
     # each row shows the paper's cost model; beta_triangle picks the cheaper.
     predicted = triangle.predicted_cost(shape)
@@ -277,14 +247,14 @@ def _bench_row(shape: FerrersShape, tag: str, caps: OracleCaps) -> tuple[list, b
     _, multiplications = triangle.evaluate(shape)
     t_triangle = time.perf_counter() - t0
     matches = multiplications == predicted
-    g_vertices = shape.row_count + shape.rows[0]
-    if g_vertices <= caps.edge_vertices:
-        g = graphs.ferrers_graph(shape)
-        t0 = time.perf_counter()
-        graphs.beta_edge_recursion(g, max_vertices=caps.edge_vertices)
-        t_edge = f"{time.perf_counter() - t0:.6f}"
-    else:
+    try:
+        g, limit = checks.oracle_graph("edge", shape, cap)
+    except graphs.GraphTooLarge:
         t_edge = "INFEASIBLE"
+    else:
+        t0 = time.perf_counter()
+        graphs.beta_edge_recursion(g, max_vertices=limit)
+        t_edge = f"{time.perf_counter() - t0:.6f}"
     row = [
         _bench_label(shape),
         shape.cell_count,
@@ -300,8 +270,10 @@ def _bench_row(shape: FerrersShape, tag: str, caps: OracleCaps) -> tuple[list, b
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    caps = _caps_from(args)
+    cap = _cap_from(args)
     shapes: list[FerrersShape] = [parse_shape(text) for text in args.shape or []]
+    if args.cells is not None and args.count is None:
+        raise InputError("--cells needs --count for random shapes")
     if args.count is not None:
         if args.count < 1:
             raise InputError("--count must be >= 1")
@@ -322,7 +294,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             if flipped != shape:
                 orientations.append((flipped, "transposed"))
         for oriented, tag in orientations:
-            row, matches = _bench_row(oriented, tag, caps)
+            row, matches = _bench_row(oriented, tag, cap)
             all_match = all_match and matches
             print("\t".join(str(x) for x in row))
     return EXIT_OK if all_match else EXIT_VERIFY

@@ -12,7 +12,8 @@ polynomial is a plain dict from exponent triples (a, b, c) to the coefficient
 of x^a y^b z^c.
 
 These paths are intentionally expensive; they exist to cross-check the
-triangle engine on desk-scale inputs and are guarded by vertex-count caps.
+triangle engine on desk-scale inputs, under the vertex caps of
+``checks.oracle_graph``.
 """
 
 from __future__ import annotations

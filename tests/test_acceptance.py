@@ -68,10 +68,9 @@ def test_criterion_02_oracle_equivalence():
         t0 = time.perf_counter()
         shapes = list(enumerate_shapes(9))
         assert len(shapes) > 150
-        caps = checks.OracleCaps(rank_vertices=12, edge_vertices=12)
         for shape in shapes:
             # ([], []): no oracle disagrees and none is skipped
-            assert checks.method_agreement(shape, beta_triangle(shape), caps) == ([], []), shape
+            assert checks.method_agreement(shape, beta_triangle(shape), cap=12) == ([], []), shape
         assert time.perf_counter() - t0 < 300
 
 

@@ -266,18 +266,47 @@ def test_complex_cap(capsys):
 @pytest.mark.parametrize(
     "argv",
     [["complex"], ["beta", "--method", "edge"], ["beta", "--method", "rank"],
-     ["beta", "--method", "xi"]],
+     ["beta", "--method", "xi"], ["bench"]],
 )
 def test_vertex_cap_checked_before_the_graph_is_built(capsys, monkeypatch, argv):
-    # one row of length 10**50: its Ferrers graph would have 10**50 + 1 vertices
     def unbuildable(shape):
         raise AssertionError(f"built the graph of {shape}")
 
     monkeypatch.setattr(graphs, "ferrers_graph", unbuildable)
+    if argv == ["bench"]:
+        # 13 rows of one cell and its transpose: 14 vertices each, above 12
+        code, out, err = run(capsys, "bench", "--shape", ",".join(["1"] * 13))
+        assert code == EXIT_OK and err == ""
+        assert [line.split("\t")[-1] for line in out.splitlines()[1:]] == ["INFEASIBLE"] * 2
+        return
+    # one row of length 10**50: its Ferrers graph would have 10**50 + 1 vertices
     code, out, err = run(capsys, *argv, "--shape", str(10**50))
     assert code == EXIT_CAP and out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("cap exceeded:")
+
+
+@pytest.mark.parametrize(
+    ("method", "cap", "name"),
+    [("edge", 12, "edge-recursion"), ("xi", 12, "edge-recursion"), ("rank", 8, "rank-census")],
+)
+def test_each_graph_oracle_obeys_one_vertex_cap(capsys, tmp_path, method, cap, name):
+    # a perfect matching on `cap` vertices has beta 1; one more, isolated, vertex makes it 0
+    def matching(vertices):
+        path = tmp_path / f"matching{vertices}.txt"
+        edges = "".join(f"{u} {u + 1}\n" for u in range(0, cap, 2))
+        path.write_text(f"{vertices} {cap // 2}\n{edges}")
+        return str(path)
+
+    at_cap, above = matching(cap), matching(cap + 1)
+    assert run(capsys, "beta", "--graph", at_cap, "--method", method) == (EXIT_OK, "1\n", "")
+    assert run(capsys, "beta", "--graph", above, "--method", method) == (
+        EXIT_CAP, "", f"cap exceeded: {cap + 1} vertices exceeds the {name} cap {cap}\n"
+    )
+    raised = ("--cap-vertices", str(cap + 1))
+    assert run(capsys, "beta", "--graph", above, "--method", method, *raised) == (
+        EXIT_OK, "0\n", ""
+    )
 
 
 VERIFY_CHECKS = [
@@ -453,16 +482,17 @@ def test_bench_bad_count(capsys, count):
 
 
 @pytest.mark.parametrize(
-    ("cells", "message"),
+    ("argv", "message"),
     [
-        (["--cells", "0"], "--cells must be >= 1"),
-        (["--cells", "-3"], "--cells must be >= 1"),
-        ([], "--count needs --cells for random shapes"),
+        (["--count", "2", "--cells", "0"], "--cells must be >= 1"),
+        (["--count", "2", "--cells", "-3"], "--cells must be >= 1"),
+        (["--count", "2"], "--count needs --cells for random shapes"),
+        (["--shape", "5", "--cells", "3"], "--cells needs --count for random shapes"),
     ],
-    ids=["0", "-3", "missing"],
+    ids=["0", "-3", "missing", "without-count"],
 )
-def test_bench_bad_cells(capsys, cells, message):
-    code, out, err = run(capsys, "bench", "--count", "2", *cells)
+def test_bench_bad_cells(capsys, argv, message):
+    code, out, err = run(capsys, "bench", *argv)
     assert code == EXIT_INPUT and out == ""
     assert err == f"input error: {message}\n"
 

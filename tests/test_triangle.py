@@ -57,11 +57,10 @@ def test_instrumented_cost_exact_on_all_small_shapes():
 
 def test_four_methods_agree_up_to_ten_cells():
     # acceptance criterion 2 runs the same check on every shape of <= 9 cells
-    caps = checks.OracleCaps(rank_vertices=12, edge_vertices=12)
     ten_cells = [s for s in enumerate_shapes(10) if s.cell_count == 10]
     assert len(ten_cells) == 84
     for shape in ten_cells:
-        assert checks.method_agreement(shape, beta_triangle(shape), caps) == ([], []), shape
+        assert checks.method_agreement(shape, beta_triangle(shape), cap=12) == ([], []), shape
 
 
 def test_evaluate_examples():
