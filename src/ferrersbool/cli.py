@@ -19,6 +19,7 @@ environment variable FB_CAP_VERTICES, sets it for all three.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import os
 import random
@@ -37,6 +38,11 @@ EXIT_VERIFY = 3
 EXIT_INTERNAL = 4
 
 VERIFY_CELLS_CAP = 12
+
+# _decimal_text calls str() up to the cut and splits larger values down to
+# leaves of this size
+_DECIMAL_CUT_BITS = 30_000
+_DECIMAL_LEAF_BITS = 4096
 
 
 class InputError(Exception):
@@ -69,6 +75,45 @@ def _dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _decimal_text(n: int) -> str:
+    """Decimal text of n, the same digits as str(n).
+
+    str() of an int takes time quadratic in its length.  Above the cut, n is
+    split as hi * 2**k + lo with k half its bits, down to leaves of at most
+    _DECIMAL_LEAF_BITS bits, and the halves are joined as hi * D(2**k) + lo in
+    a local decimal context, where libmpdec multiplies large coefficients in
+    subquadratic time.  The context is exact and traps Inexact, so a rounding
+    raises instead of printing a wrong digit; the thread's context is not used.
+    """
+    if n.bit_length() <= _DECIMAL_CUT_BITS:
+        return str(n)
+    if n < 0:
+        return "-" + _decimal_text(-n)
+    ctx = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+    ctx.traps[decimal.Inexact] = True
+    powers: dict[int, decimal.Decimal] = {}  # k -> D(2**k)
+
+    def power(k: int) -> decimal.Decimal:
+        if k not in powers:
+            if k <= _DECIMAL_LEAF_BITS:
+                powers[k] = decimal.Decimal(1 << k)
+            else:
+                half = power(k >> 1)
+                square = ctx.multiply(half, half)
+                powers[k] = ctx.multiply(square, 2) if k & 1 else square
+        return powers[k]
+
+    def convert(m: int, bits: int) -> decimal.Decimal:
+        # m < 2**bits
+        if bits <= _DECIMAL_LEAF_BITS:
+            return decimal.Decimal(m)
+        k = bits >> 1
+        hi = m >> k
+        return ctx.add(ctx.multiply(convert(hi, bits - k), power(k)), convert(m - (hi << k), k))
+
+    return ctx.to_sci_string(convert(n, n.bit_length()))
+
+
 def _load_graph(path: str) -> graphs.MultiGraph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -94,9 +139,9 @@ def cmd_beta(args: argparse.Namespace) -> int:
     else:
         value = checks.oracle_beta(method, source, cap)
     if args.format == "json":
-        print(_dump_json({"beta": str(value), "input": label, "method": method}))
+        print(_dump_json({"beta": _decimal_text(value), "input": label, "method": method}))
     else:
-        print(value)
+        print(_decimal_text(value))
     return EXIT_OK
 
 
@@ -104,14 +149,15 @@ def cmd_triangle(args: argparse.Namespace) -> int:
     shape = parse_shape(args.shape)
     rows = triangle.iter_row_values(shape)
     if args.format == "json":
+        # decimal strings need no JSON escaping, so each row is joined directly
         lead = "["
         for row in rows:
-            print(lead + _dump_json([str(c) for c in row]), end="")
+            print(lead + '["' + '","'.join(map(_decimal_text, row)) + '"]', end="")
             lead = ","
         print("]")
     else:
         for row in rows:
-            print("\t".join(str(c) for c in row))
+            print("\t".join(map(_decimal_text, row)))
     return EXIT_OK
 
 
@@ -139,9 +185,9 @@ def cmd_sequence(args: argparse.Namespace) -> int:
         raise InputError("--steplength must be >= 1")
     for row in _sequence_rows(args):
         if args.format == "bfile":
-            print(f"{row[0]} {row[-1]}")
+            print(_decimal_text(row[0]), _decimal_text(row[-1]))
         else:
-            print("\t".join(str(x) for x in row))
+            print("\t".join(map(_decimal_text, row)))
     return EXIT_OK
 
 
@@ -150,7 +196,7 @@ def cmd_complex(args: argparse.Namespace) -> int:
     source = parse_shape(args.shape) if args.shape is not None else _load_graph(args.graph)
     g, limit = checks.oracle_graph("rank", source, cap)
     rv = boolcomplex.rank_vector(g, max_vertices=limit)
-    print(_dump_json([str(c) for c in rv]))
+    print(_dump_json([_decimal_text(c) for c in rv]))
     return EXIT_OK
 
 

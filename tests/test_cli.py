@@ -1,5 +1,7 @@
+import decimal
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,16 +9,28 @@ from pathlib import Path
 import pytest
 
 from ferrersbool import (
+    beta_complete_bipartite,
     beta_triangle,
     boolcomplex,
     graphs,
+    parse_shape,
     rectangle,
     recursion,
     sequences,
     staircase,
     triangle,
 )
-from ferrersbool.cli import EXIT_CAP, EXIT_INPUT, EXIT_INTERNAL, EXIT_OK, EXIT_VERIFY, main
+from ferrersbool.cli import (
+    _DECIMAL_CUT_BITS,
+    _DECIMAL_LEAF_BITS,
+    EXIT_CAP,
+    EXIT_INPUT,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_VERIFY,
+    _decimal_text,
+    main,
+)
 
 
 def run(capsys, *argv):
@@ -166,6 +180,54 @@ def test_huge_row_difference(capsys):
     assert code == EXIT_OK and out.splitlines() == ["-1\t1", "0\t-2\t2"]
 
 
+@pytest.fixture
+def unlimited_str_digits():
+    """Lift Python's int-to-str digit limit, so str() can be the reference."""
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+def test_decimal_text_matches_str(unlimited_str_digits):
+    values = [0, 1, -1]
+    for k in (_DECIMAL_LEAF_BITS, _DECIMAL_CUT_BITS, 2 * _DECIMAL_CUT_BITS):
+        values += [2**k - 1, 2**k, 2**k + 1]
+    # 10**m has m trailing zero digits: a converter that joins the halves'
+    # digits without padding the low half drops them
+    m = _DECIMAL_CUT_BITS // 3 + 7
+    values += [10**m - 1, 10**m, 10**m + 1, 7 * 10**m + 3]
+    rng = random.Random(20)
+    values += [rng.getrandbits(rng.randint(1, 200_000)) | 1 for _ in range(5)]
+    values += [-v for v in values[3::3]]  # every third value past 0 and ±1, negated
+    for n in values:
+        assert _decimal_text(n) == str(n), n.bit_length()
+
+
+def test_beta_above_the_decimal_cut(capsys, unlimited_str_digits):
+    length = 60_000
+    value = beta_complete_bipartite(3, length)
+    assert value.bit_length() > _DECIMAL_CUT_BITS
+    expected = str(value)
+    shape = ",".join([str(length)] * 3)
+    code, out, _ = run(capsys, "beta", "--shape", shape)
+    assert code == EXIT_OK and out == expected + "\n"
+    code, out, _ = run(capsys, "beta", "--shape", shape, "--format", "json")
+    assert code == EXIT_OK and json.loads(out)["beta"] == expected
+
+
+def test_decimal_output_leaves_the_decimal_context_alone(capsys):
+    # calls are pure: writing a value above the cut must not touch the
+    # thread's decimal context; a fresh default context makes the check
+    # independent of what ran before in this process
+    with decimal.localcontext(decimal.Context()) as context:
+        saved = (context.prec, context.Emax, context.Emin, dict(context.traps))
+        code, out, _ = run(capsys, "beta", "--shape", "50000,50000,50000")
+        assert code == EXIT_OK and int(out).bit_length() > _DECIMAL_CUT_BITS
+        context = decimal.getcontext()
+        assert (context.prec, context.Emax, context.Emin, dict(context.traps)) == saved
+
+
 def test_triangle_tsv(capsys):
     code, out, _ = run(capsys, "triangle", "--shape", "3,2,1")
     assert code == EXIT_OK
@@ -184,6 +246,15 @@ def test_triangle_json_round_trips(capsys):
 def test_triangle_json_single_row(capsys):
     code, out, _ = run(capsys, "triangle", "--shape", "5", "--format", "json")
     assert code == EXIT_OK and out == '[["-1","1"]]\n'
+
+
+@pytest.mark.parametrize("shape", [str(staircase(30)), "5,5,3,0"], ids=["staircase-30", "zero-row"])
+def test_triangle_json_matches_json_dumps(capsys, shape):
+    code, out, _ = run(capsys, "triangle", "--shape", shape, "--format", "json")
+    assert code == EXIT_OK
+    rows = triangle.iter_row_values(parse_shape(shape))
+    expected = json.dumps([[str(c) for c in row] for row in rows], separators=(",", ":"))
+    assert out == expected + "\n"
 
 
 def test_sequence_genocchi(capsys):
