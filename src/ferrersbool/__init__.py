@@ -6,13 +6,11 @@ independent oracles used to cross-check it.
 """
 
 from .boolcomplex import beta_via_rank, rank_vector
+from .checks import GraphTooLarge
 from .graphs import (
-    GraphTooLarge,
     MultiGraph,
     beta_edge_recursion,
     beta_via_xi,
-    bichromatic_via_xi,
-    bivariate_chromatic_count,
     ferrers_graph,
     parse_edge_list,
     xi_polynomial,
@@ -26,13 +24,9 @@ from .sequences import (
     genocchi2,
     genocchi_ls_identity,
     legendre_stirling,
-    stirling2,
 )
 from .shapes import (
-    EmptyShape,
     FerrersShape,
-    NotAPartition,
-    ParseError,
     ShapeError,
     enumerate_shapes,
     parse_shape,
@@ -49,13 +43,10 @@ from .triangle import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EmptyShape",
     "FerrersShape",
     "GraphTooLarge",
     "MultiGraph",
     "NonIntegerResult",
-    "NotAPartition",
-    "ParseError",
     "ShapeError",
     "beta_complete_bipartite",
     "beta_edge_recursion",
@@ -64,8 +55,6 @@ __all__ = [
     "beta_triangle",
     "beta_via_rank",
     "beta_via_xi",
-    "bichromatic_via_xi",
-    "bivariate_chromatic_count",
     "chat_gf_check",
     "enumerate_shapes",
     "ferrers_graph",
@@ -80,6 +69,5 @@ __all__ = [
     "rank_vector",
     "rectangle",
     "staircase",
-    "stirling2",
     "xi_polynomial",
 ]

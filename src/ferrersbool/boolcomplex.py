@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .graphs import EXHAUSTIVE_VERTEX_CAP, GraphTooLarge, MultiGraph
+from .graphs import MultiGraph
 
 
 def _successors(
@@ -41,19 +41,15 @@ def _successors(
         yield x, used_after, ~(masks[x] | used_after) & (blocked | (bit - 1))
 
 
-def rank_vector(
-    g: MultiGraph, *, max_vertices: int = EXHAUSTIVE_VERTEX_CAP
-) -> tuple[int, ...]:
+def rank_vector(g: MultiGraph) -> tuple[int, ...]:
     """Class counts by word length, from the empty word (1) up to full support.
 
     Counts the canonical words level by level through their automaton
     states, without building a word: each state maps to the number of
-    canonical words of the current length that reach it.
+    canonical words of the current length that reach it.  The number of
+    states grows exponentially with the vertices; the function has no cap of
+    its own, and the CLI's is ``checks.oracle_graph``'s.
     """
-    if g.vertex_count > max_vertices:
-        raise GraphTooLarge(
-            f"{g.vertex_count} vertices exceeds the rank-census cap {max_vertices}"
-        )
     masks = g.adjacency_masks()
     level = {(0, 0): 1}
     counts = [1]
@@ -68,7 +64,7 @@ def rank_vector(
     return tuple(counts)
 
 
-def beta_via_rank(g: MultiGraph, *, max_vertices: int = EXHAUSTIVE_VERTEX_CAP) -> int:
+def beta_via_rank(g: MultiGraph) -> int:
     """beta(G) = (-1)**|G| * (rank polynomial at -1)."""
-    counts = rank_vector(g, max_vertices=max_vertices)
+    counts = rank_vector(g)
     return (-1) ** g.vertex_count * sum((-1) ** k * c for k, c in enumerate(counts))

@@ -18,26 +18,34 @@ from __future__ import annotations
 from . import boolcomplex, graphs, recursion, sequences, shapes, triangle
 from .shapes import FerrersShape
 
+EDGE_RECURSION_VERTEX_CAP = 12
+EXHAUSTIVE_VERTEX_CAP = 8
+
+
+class GraphTooLarge(RuntimeError):
+    """The graph exceeds the vertex cap of the oracle asked to run on it."""
+
 
 def oracle_graph(
     method: str, source: FerrersShape | graphs.MultiGraph, cap: int | None = None
-) -> tuple[graphs.MultiGraph, int]:
-    """The graph that oracle `method` runs on, with the vertex cap it obeys.
+) -> graphs.MultiGraph:
+    """The graph that oracle `method` runs on, once it is within its vertex cap.
 
-    The cap is `cap` if given, else 8 for the rank census ("rank") and 12 for
-    the edge recursion and xi ("edge", "xi").  A shape is priced as its
-    Ferrers graph's r + L1 vertices before that graph is built, so a shape of
-    any size gets its GraphTooLarge at once.
+    This is the one cap rule of the three graph oracles, which take no cap
+    themselves.  The cap is `cap` if given, else 8 for the rank census
+    ("rank") and 12 for the edge recursion and xi ("edge", "xi").  A shape is
+    priced as its Ferrers graph's r + L1 vertices before that graph is built,
+    so a shape of any size gets its GraphTooLarge at once.
     """
     rank = method == "rank"
     if cap is None:
-        cap = graphs.EXHAUSTIVE_VERTEX_CAP if rank else graphs.EDGE_RECURSION_VERTEX_CAP
+        cap = EXHAUSTIVE_VERTEX_CAP if rank else EDGE_RECURSION_VERTEX_CAP
     is_shape = isinstance(source, FerrersShape)
     vertices = source.row_count + source.rows[0] if is_shape else source.vertex_count
     if vertices > cap:
         name = "rank-census" if rank else "edge-recursion"
-        raise graphs.GraphTooLarge(f"{vertices} vertices exceeds the {name} cap {cap}")
-    return (graphs.ferrers_graph(source) if is_shape else source), cap
+        raise GraphTooLarge(f"{vertices} vertices exceeds the {name} cap {cap}")
+    return graphs.ferrers_graph(source) if is_shape else source
 
 
 def oracle_beta(
@@ -47,11 +55,11 @@ def oracle_beta(
     "edge", "xi" or "rank"; the graph oracles obey `oracle_graph`'s cap."""
     if method == "row":
         return recursion.beta_row_recursion(source)
-    g, limit = oracle_graph(method, source, cap)
+    g = oracle_graph(method, source, cap)
     if method == "edge":
-        return graphs.beta_edge_recursion(g, max_vertices=limit)
+        return graphs.beta_edge_recursion(g)
     if method == "rank":
-        return boolcomplex.beta_via_rank(g, max_vertices=limit)
+        return boolcomplex.beta_via_rank(g)
     return graphs.beta_via_xi(g)
 
 
@@ -72,7 +80,7 @@ def method_agreement(
         try:
             if oracle_beta(method, shape if method == "row" else g, cap) != expected:
                 wrong.append(method)
-        except graphs.GraphTooLarge:
+        except GraphTooLarge:
             skipped.append(method)
     return wrong, skipped
 

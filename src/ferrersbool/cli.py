@@ -194,8 +194,7 @@ def cmd_sequence(args: argparse.Namespace) -> int:
 def cmd_complex(args: argparse.Namespace) -> int:
     cap = _cap_from(args)
     source = parse_shape(args.shape) if args.shape is not None else _load_graph(args.graph)
-    g, limit = checks.oracle_graph("rank", source, cap)
-    rv = boolcomplex.rank_vector(g, max_vertices=limit)
+    rv = boolcomplex.rank_vector(checks.oracle_graph("rank", source, cap))
     print(_dump_json([_decimal_text(c) for c in rv]))
     return EXIT_OK
 
@@ -265,7 +264,7 @@ def run_verify(cells: int, cap: int | None) -> list[tuple[str, str, str]]:
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = _cap_from(args)
     if args.cells > VERIFY_CELLS_CAP:
-        raise graphs.GraphTooLarge(
+        raise checks.GraphTooLarge(
             f"--cells {args.cells} exceeds the verify cap {VERIFY_CELLS_CAP}"
         )
     if args.cells < 1:
@@ -294,12 +293,12 @@ def _bench_row(shape: FerrersShape, tag: str, cap: int | None) -> tuple[list, bo
     t_triangle = time.perf_counter() - t0
     matches = multiplications == predicted
     try:
-        g, limit = checks.oracle_graph("edge", shape, cap)
-    except graphs.GraphTooLarge:
+        g = checks.oracle_graph("edge", shape, cap)
+    except checks.GraphTooLarge:
         t_edge = "INFEASIBLE"
     else:
         t0 = time.perf_counter()
-        graphs.beta_edge_recursion(g, max_vertices=limit)
+        graphs.beta_edge_recursion(g)
         t_edge = f"{time.perf_counter() - t0:.6f}"
     row = [
         _bench_label(shape),
@@ -416,7 +415,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except graphs.GraphTooLarge as exc:
+    except checks.GraphTooLarge as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
     except (InputError, ShapeError) as exc:

@@ -1,6 +1,5 @@
 """Graph-level oracles: Ferrers graphs, the boolean number edge recursion, and
-the trivariate edge-elimination polynomial with its bivariate chromatic
-specializations.
+the trivariate edge-elimination polynomial.
 
 `MultiGraph` is the one graph type: Ferrers graphs, graph files and every
 reduction are edge-multiplicity tuples.  The edge recursion and the
@@ -11,25 +10,17 @@ renumbering pass.  Each is memoized per call on the exact reduced graph.  The
 polynomial is a plain dict from exponent triples (a, b, c) to the coefficient
 of x^a y^b z^c.
 
-These paths are intentionally expensive; they exist to cross-check the
-triangle engine on desk-scale inputs, under the vertex caps of
-``checks.oracle_graph``.
+These paths are intentionally expensive and take any graph they are given;
+they exist to cross-check the triangle engine on desk-scale inputs, and the
+one vertex cap on them is ``checks.oracle_graph``'s.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
 from .shapes import FerrersShape
-
-EDGE_RECURSION_VERTEX_CAP = 12
-EXHAUSTIVE_VERTEX_CAP = 8
-
-
-class GraphTooLarge(RuntimeError):
-    """The graph exceeds the configured cap for this oracle."""
 
 
 # ---------------------------------------------------------------------------
@@ -50,10 +41,10 @@ class MultiGraph:
             raise ValueError(f"vertex count {vertex_count} is negative")
         counter: Counter = Counter()
         for u, v in pairs:
+            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
+                raise ValueError(f"edge ({u}, {v}) out of range")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            if not (0 <= u < vertex_count and 0 <= v < vertex_count):
-                raise ValueError(f"bad edge ({u}, {v})")
             counter[(min(u, v), max(u, v))] += 1
         return cls(vertex_count, tuple(sorted(counter.items())))
 
@@ -80,7 +71,8 @@ def ferrers_graph(shape: FerrersShape) -> MultiGraph:
 
 def parse_edge_list(text: str) -> MultiGraph:
     """Read the CLI graph format: a "n m" header then m lines "u v" (0-based).
-    A repeated line, in either order, is read once."""
+    A repeated line, in either order, is read once; `MultiGraph.from_pairs`
+    checks the pairs in file order."""
     lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ValueError("empty graph text")
@@ -90,16 +82,14 @@ def parse_edge_list(text: str) -> MultiGraph:
     n, m = int(header[0]), int(header[1])
     if len(lines) - 1 != m:
         raise ValueError(f"expected {m} edge lines, got {len(lines) - 1}")
-    pairs = []
+    pairs: dict = {}  # unordered pair -> its first line, in file order
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ValueError(f"bad edge line {ln!r}")
-        pairs.append((int(parts[0]), int(parts[1])))
-    for u, v in pairs:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range")
-    return MultiGraph.from_pairs(n, {(min(u, v), max(u, v)) for u, v in pairs})
+        u, v = int(parts[0]), int(parts[1])
+        pairs.setdefault((min(u, v), max(u, v)), (u, v))
+    return MultiGraph.from_pairs(n, pairs.values())
 
 
 # ---------------------------------------------------------------------------
@@ -176,21 +166,15 @@ def _beta(g: MultiGraph, memo: dict) -> int:
     return value
 
 
-def beta_edge_recursion(
-    g: MultiGraph, *, max_vertices: int = EDGE_RECURSION_VERTEX_CAP
-) -> int:
+def beta_edge_recursion(g: MultiGraph) -> int:
     """beta(G) by the generic three-way edge recursion.
 
-    Exponential by design; refuses graphs above the vertex cap.  The pivot
-    rule is fixed, with no option: the edge from a minimum-degree vertex
-    (lowest index on ties) to its lowest neighbour, which drives quickly
-    toward the isolated-vertex short circuit.  It shares the edge operations
+    Exponential by design, with no cap of its own.  The pivot rule is fixed,
+    with no option: the edge from a minimum-degree vertex (lowest index on
+    ties) to its lowest neighbour, which drives quickly toward the
+    isolated-vertex short circuit.  It shares the edge operations
     with `xi_polynomial` and is memoized per call.
     """
-    if g.vertex_count > max_vertices:
-        raise GraphTooLarge(
-            f"{g.vertex_count} vertices exceeds the edge-recursion cap {max_vertices}"
-        )
     return _beta(g, {})
 
 
@@ -292,30 +276,3 @@ def xi_polynomial(g: MultiGraph) -> _Terms:
 def beta_via_xi(g: MultiGraph) -> int:
     """beta(G) = (-1)**|G| * xi(G, 0, -1, 1)."""
     return (-1) ** g.vertex_count * _evaluate(xi_polynomial(g), 0, -1, 1)
-
-
-def bichromatic_via_xi(g: MultiGraph, x: int, y: int) -> int:
-    """The proper/improper coloring count as the substitution xi(G, x, -1, x-y)."""
-    return _evaluate(xi_polynomial(g), x, -1, x - y)
-
-
-def bivariate_chromatic_count(
-    g: MultiGraph, x: int, y: int, *, max_vertices: int = EXHAUSTIVE_VERTEX_CAP
-) -> int:
-    """Count colorings with y proper and x-y improper colors by brute force.
-
-    A coloring is a map from vertices to x colors; the first y colors are
-    proper and may not repeat across an edge.
-    """
-    if not 0 <= y <= x:
-        raise ValueError("need 0 <= y <= x")
-    if g.vertex_count > max_vertices:
-        raise GraphTooLarge(
-            f"{g.vertex_count} vertices exceeds the exhaustive cap {max_vertices}"
-        )
-    edges = [pair for pair, _ in g.edges]
-    count = 0
-    for coloring in itertools.product(range(x), repeat=g.vertex_count):
-        if all(not (coloring[u] == coloring[v] and coloring[u] < y) for u, v in edges):
-            count += 1
-    return count

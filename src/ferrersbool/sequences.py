@@ -1,10 +1,11 @@
 """Named integer sequences tied to boolean numbers.
 
 The factorial-quotient triangle d(i, j), Genocchi numbers of the second kind,
-Stirling numbers of the second kind, the closed double sum for staircase
-shapes, and the generating-function cross-check for staircase coefficient
-columns.  All rational intermediates use exact fractions; integrality of the
-results is itself part of the contract.
+the complete bipartite boolean number from a row of Stirling numbers of the
+second kind, the closed double sum for staircase shapes, and the
+generating-function cross-check for staircase coefficient columns.  All
+rational intermediates use exact fractions; integrality of the results is
+itself part of the contract.
 
 The generators ``beta_staircases``, ``rescaled_staircase_rows`` and
 ``genocchi2_values`` yield every value up to n in one pass; the point
@@ -121,13 +122,6 @@ def _stirling2_row(n: int) -> list[int]:
     for m in range(1, n + 1):
         row = [0] + [row[j - 1] + (j * row[j] if j < m else 0) for j in range(1, m + 1)]
     return row
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling numbers of the second kind."""
-    if not 0 <= k <= n:
-        raise ValueError("need 0 <= k <= n")
-    return _stirling2_row(n)[k]
 
 
 def beta_complete_bipartite(r: int, k: int) -> int:

@@ -15,19 +15,8 @@ from typing import Iterator
 
 
 class ShapeError(ValueError):
-    """Base class for invalid shape construction or transforms."""
-
-
-class ParseError(ShapeError):
-    """Shape text is not a comma-separated list of integers."""
-
-
-class NotAPartition(ShapeError):
-    """Row lengths are negative or not weakly decreasing."""
-
-
-class EmptyShape(ShapeError):
-    """Operation needs at least one nonempty row."""
+    """Invalid shape text, row lengths that are not a partition, or a
+    transform that needs a nonempty row; the message says which."""
 
 
 @dataclass(frozen=True)
@@ -40,13 +29,13 @@ class FerrersShape:
         if not isinstance(self.rows, tuple):
             object.__setattr__(self, "rows", tuple(self.rows))
         if len(self.rows) == 0:
-            raise NotAPartition("a shape needs at least one row")
+            raise ShapeError("a shape needs at least one row")
         for length in self.rows:
             if not isinstance(length, int) or isinstance(length, bool) or length < 0:
-                raise NotAPartition(f"row length {length!r} is not a nonnegative integer")
+                raise ShapeError(f"row length {length!r} is not a nonnegative integer")
         for a, b in zip(self.rows, self.rows[1:]):
             if b > a:
-                raise NotAPartition(f"rows must be weakly decreasing, got {a} before {b}")
+                raise ShapeError(f"rows must be weakly decreasing, got {a} before {b}")
 
     @property
     def row_count(self) -> int:
@@ -68,12 +57,12 @@ class FerrersShape:
         """Conjugate shape: column lengths become row lengths.
 
         Zero rows are dropped before conjugating; all-zero shapes have no
-        columns and raise EmptyShape.  One walk up the runs of equal rows, in
+        columns and raise ShapeError.  One walk up the runs of equal rows, in
         O(r + L1): with `height` rows left, the columns past those already
         counted and up to the run's length hold `height` cells each.
         """
         if self.rows[0] == 0:
-            raise EmptyShape("cannot transpose a shape whose rows are all zero")
+            raise ShapeError("cannot transpose a shape whose rows are all zero")
         cols: list[int] = []
         height = len(self.rows)
         for length, run in groupby(reversed(self.rows)):
@@ -88,18 +77,18 @@ class FerrersShape:
 def parse_shape(text: str) -> FerrersShape:
     """Parse a comma-separated row list such as "7,7,7,6,4,4,2".
 
-    Raises ParseError for malformed tokens and NotAPartition for row lists
-    that are negative or increasing.
+    Raises ShapeError for malformed tokens and for row lists that are
+    negative or increasing.
     """
     tokens = [tok.strip() for tok in text.split(",")]
     if tokens == [""]:
-        raise ParseError("empty shape text")
+        raise ShapeError("empty shape text")
     rows = []
     for tok in tokens:
         try:
             rows.append(int(tok))
         except ValueError as exc:
-            raise ParseError(f"bad row length {tok!r}") from exc
+            raise ShapeError(f"bad row length {tok!r}") from exc
     return FerrersShape(tuple(rows))
 
 

@@ -1,5 +1,5 @@
-"""Shared fixtures: the unlabeled-graph universes, a word-class oracle and
-two readings of an xi term dict."""
+"""Shared fixtures: the unlabeled-graph universes, a word-class oracle, a
+brute-force coloring count, and readings of an xi term dict."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import itertools
 import pytest
 from networkx.generators.atlas import graph_atlas_g
 
-from ferrersbool import MultiGraph
+from ferrersbool import MultiGraph, xi_polynomial
 
 
 def to_multigraph(nx_graph) -> MultiGraph:
@@ -67,3 +67,25 @@ def xi_at_y_minus_one(terms: dict) -> dict:
     for (a, b, c), coef in terms.items():
         folded[(a, c)] = folded.get((a, c), 0) + (-1) ** b * coef
     return {key: coef for key, coef in folded.items() if coef}
+
+
+def bichromatic_via_xi(g: MultiGraph, x: int, y: int) -> int:
+    """The proper/improper coloring count as the substitution xi(G, x, -1, x-y)."""
+    return xi_at(xi_polynomial(g), x, -1, x - y)
+
+
+def bivariate_chromatic_count(g: MultiGraph, x: int, y: int) -> int:
+    """Count colorings with y proper and x-y improper colors by brute force.
+
+    A coloring is a map from vertices to x colors; the first y colors are
+    proper and may not repeat across an edge.  The cost is x**|G|, so callers
+    keep the graphs small.
+    """
+    if not 0 <= y <= x:
+        raise ValueError("need 0 <= y <= x")
+    edges = [pair for pair, _ in g.edges]
+    count = 0
+    for coloring in itertools.product(range(x), repeat=g.vertex_count):
+        if all(not (coloring[u] == coloring[v] and coloring[u] < y) for u, v in edges):
+            count += 1
+    return count

@@ -11,6 +11,7 @@ from ferrersbool import (
     MultiGraph,
     beta_edge_recursion,
     beta_via_rank,
+    checks,
     ferrers_graph,
     parse_shape,
     rank_vector,
@@ -37,8 +38,13 @@ def test_beta_via_rank_examples():
 def test_cap_enforced():
     big = MultiGraph.from_pairs(9, [])
     with pytest.raises(GraphTooLarge):
-        rank_vector(big)
-    assert beta_via_rank(big, max_vertices=9) == 0
+        checks.oracle_beta("rank", big)
+    assert checks.oracle_beta("rank", big, 9) == 0
+
+
+def test_rank_vector_takes_no_cap():
+    # the census counts any graph it is given; the cap is checks.oracle_graph's
+    assert rank_vector(MultiGraph.from_pairs(9, [])) == tuple(math.comb(9, k) for k in range(10))
 
 
 def test_counts_are_positive_and_start_correctly(atlas_graphs):

@@ -1,6 +1,37 @@
+import inspect
 import types
 
 import ferrersbool
+
+ROOT_NAMES = [
+    "FerrersShape",
+    "GraphTooLarge",
+    "MultiGraph",
+    "NonIntegerResult",
+    "ShapeError",
+    "beta_complete_bipartite",
+    "beta_edge_recursion",
+    "beta_row_recursion",
+    "beta_staircase_closed",
+    "beta_triangle",
+    "beta_via_rank",
+    "beta_via_xi",
+    "chat_gf_check",
+    "enumerate_shapes",
+    "ferrers_graph",
+    "genocchi2",
+    "genocchi_ls_identity",
+    "iter_row_values",
+    "legendre_stirling",
+    "parse_edge_list",
+    "parse_shape",
+    "predicted_cost",
+    "random_shape",
+    "rank_vector",
+    "rectangle",
+    "staircase",
+    "xi_polynomial",
+]
 
 
 def test_all_is_the_public_surface():
@@ -13,3 +44,14 @@ def test_all_is_the_public_surface():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert sorted(ferrersbool.__all__) == sorted(bound)
+
+
+def test_root_exports_exactly_these_names():
+    assert sorted(ferrersbool.__all__) == ROOT_NAMES
+
+
+def test_graph_oracles_take_only_the_graph():
+    # the vertex cap is checks.oracle_graph's alone; no oracle takes a cap knob
+    oracles = ("beta_edge_recursion", "rank_vector", "beta_via_rank", "xi_polynomial", "beta_via_xi")
+    for name in oracles:
+        assert list(inspect.signature(getattr(ferrersbool, name)).parameters) == ["g"], name

@@ -10,9 +10,13 @@ from ferrersbool import (
     legendre_stirling,
     rectangle,
     staircase,
-    stirling2,
 )
-from ferrersbool.sequences import beta_staircases, genocchi2_values, rescaled_staircase_rows
+from ferrersbool.sequences import (
+    _stirling2_row,
+    beta_staircases,
+    genocchi2_values,
+    rescaled_staircase_rows,
+)
 
 from .reference_tables import STAIRCASE_BETAS
 
@@ -101,15 +105,7 @@ def test_stirling2_against_enumeration():
             counts[len(partition)] = counts.get(len(partition), 0) + 1
         for k in range(0, n + 1):
             expected = counts.get(k, 0) if n > 0 else (1 if k == 0 else 0)
-            assert stirling2(n, k) == expected
-
-
-def test_stirling2_edges():
-    assert stirling2(5, 5) == 1
-    assert stirling2(6, 1) == 1
-    assert stirling2(3, 2) == 3
-    with pytest.raises(ValueError):
-        stirling2(3, 4)
+            assert _stirling2_row(n)[k] == expected
 
 
 def test_beta_complete_bipartite_examples():
