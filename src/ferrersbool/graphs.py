@@ -6,9 +6,11 @@ reduction are edge-multiplicity tuples.  The edge recursion and the
 polynomial are the same three-way recursion (delete, contract, extract an
 edge), and both run on it through the same private edge operations: removing
 copies of an edge, and dropping a vertex or merging it into another in one
-renumbering pass.  Each is memoized per call on the exact reduced graph.  The
-polynomial is a plain dict from exponent triples (a, b, c) to the coefficient
-of x^a y^b z^c.
+renumbering pass.  Both are step functions of `recursion._memo_walk`, the
+walk behind the row recursion too: the memo, on the exact reduced graph,
+lives inside one call, and depth is limited by memory, not by the
+interpreter.  The polynomial is a plain dict from exponent triples (a, b, c)
+to the coefficient of x^a y^b z^c.
 
 These paths are intentionally expensive and take any graph they are given;
 they exist to cross-check the triangle engine on desk-scale inputs, and the
@@ -20,6 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
+from .recursion import _memo_walk
 from .shapes import FerrersShape
 
 
@@ -138,10 +141,7 @@ def _extract(g: MultiGraph, u: int, v: int) -> MultiGraph:
 # boolean number by edge recursion
 # ---------------------------------------------------------------------------
 
-def _beta(g: MultiGraph, memo: dict) -> int:
-    cached = memo.get(g)
-    if cached is not None:
-        return cached
+def _beta(g: MultiGraph):
     n = g.vertex_count
     if n == 0:
         return 1
@@ -157,13 +157,11 @@ def _beta(g: MultiGraph, memo: dict) -> int:
     # contraction leaves no loops.
     e, copies = next(item for item in g.edges if u in item[0])
     v = e[1] if e[0] == u else e[0]
-    value = (
-        _beta(_delete(g, *e, copies), memo)
-        + _beta(_contract(g, u, v, copies), memo)
-        + _beta(_extract(g, *e), memo)
+    return (
+        (yield _delete(g, *e, copies))
+        + (yield _contract(g, u, v, copies))
+        + (yield _extract(g, *e))
     )
-    memo[g] = value
-    return value
 
 
 def beta_edge_recursion(g: MultiGraph) -> int:
@@ -172,10 +170,10 @@ def beta_edge_recursion(g: MultiGraph) -> int:
     Exponential by design, with no cap of its own.  The pivot rule is fixed,
     with no option: the edge from a minimum-degree vertex (lowest index on
     ties) to its lowest neighbour, which drives quickly toward the
-    isolated-vertex short circuit.  It shares the edge operations
-    with `xi_polynomial` and is memoized per call.
+    isolated-vertex short circuit.  It shares the edge operations and the
+    memoised walk with `xi_polynomial`.
     """
-    return _beta(g, {})
+    return _memo_walk(g, _beta, {})
 
 
 # ---------------------------------------------------------------------------
@@ -231,28 +229,24 @@ def _components(g: MultiGraph) -> list[MultiGraph]:
     return comps
 
 
-def _xi(g: MultiGraph, memo: dict) -> _Terms:
-    cached = memo.get(g)
-    if cached is not None:
-        return cached
+def _xi(g: MultiGraph):
     if not g.edges:
         return {(g.vertex_count, 0, 0): 1}
     comps = _components(g)
     if len(comps) > 1:
         poly = {(0, 0, 0): 1}
         for comp in comps:
-            poly = _product(poly, _xi(comp, memo))
+            poly = _product(poly, (yield comp))
     else:
         # Loops first, then the most parallel edge; the lowest pair on ties.
         # A loop contracts to its deletion, so its first two terms share a graph.
         (u, v), _ = min(g.edges, key=lambda item: (item[0][0] != item[0][1], -item[1]))
-        deleted = _xi(_delete(g, u, v), memo)
-        contracted = _xi(_contract(g, u, v), memo)
-        extracted = _xi(_extract(g, u, v), memo)
+        deleted = yield _delete(g, u, v)
+        contracted = yield _contract(g, u, v)
+        extracted = yield _extract(g, u, v)
         # the y and z factors shift an exponent
         poly = _sum(deleted, {(a, b + 1, c): k for (a, b, c), k in contracted.items()})
         poly = _sum(poly, {(a, b, c + 1): k for (a, b, c), k in extracted.items()})
-    memo[g] = poly
     return poly
 
 
@@ -266,11 +260,12 @@ def xi_polynomial(g: MultiGraph) -> _Terms:
     arise only from contracting parallel edges; such a loop deletes or
     contracts to the same loop-free reduction (factor 1 + y) and extracts to
     the graph without its vertex, the standard convention for this recursion.
-    Memoized per call on the exact reduced form; no global state.
+    Memoised within the call on the exact reduced form, at any depth; no
+    global state.
     """
     if g.has_loops():
         raise ValueError("input graph must be loop-free")
-    return _xi(g, {})
+    return _memo_walk(g, _xi, {})
 
 
 def beta_via_xi(g: MultiGraph) -> int:

@@ -380,6 +380,20 @@ def test_each_graph_oracle_obeys_one_vertex_cap(capsys, tmp_path, method, cap, n
     )
 
 
+@pytest.mark.parametrize(("method", "vertices"), [("edge", 1000), ("xi", 520)])
+def test_graph_oracles_answer_past_the_interpreter_depth(capsys, method, vertices):
+    # one row of 2 over rows of 1: beta is 2 by the triangle, and each oracle
+    # nests one level per vertex, past the interpreter's default depth
+    shape = ",".join(["2"] + ["1"] * (vertices - 3))
+    limit = sys.getrecursionlimit()
+    assert run(capsys, "beta", "--shape", shape) == (EXIT_OK, "2\n", "")
+    raised = ("--cap-vertices", str(vertices))
+    assert run(capsys, "beta", "--shape", shape, "--method", method, *raised) == (
+        EXIT_OK, "2\n", ""
+    )
+    assert sys.getrecursionlimit() == limit
+
+
 VERIFY_CHECKS = [
     "beta-methods-agree",
     "beta-zero-iff-zero-row",

@@ -50,6 +50,15 @@ def test_root_exports_exactly_these_names():
     assert sorted(ferrersbool.__all__) == ROOT_NAMES
 
 
+def test_oracle_modules_define_no_unexported_public_function():
+    # perfbench's span buckets wrap every public function; the walk and the
+    # step functions stay private so edge and xi time is not counted as a row
+    for module in (ferrersbool.graphs, ferrersbool.recursion):
+        for name, value in vars(module).items():
+            if inspect.isfunction(value) and value.__module__ == module.__name__:
+                assert name.startswith("_") or name in ROOT_NAMES, (module.__name__, name)
+
+
 def test_graph_oracles_take_only_the_graph():
     # the vertex cap is checks.oracle_graph's alone; no oracle takes a cap knob
     oracles = ("beta_edge_recursion", "rank_vector", "beta_via_rank", "xi_polynomial", "beta_via_xi")
