@@ -93,10 +93,12 @@ def zero_iff_zero_row(shape: FerrersShape, value: int) -> str | None:
 
 
 def triangle_structure(shape: FerrersShape) -> str | None:
-    """Every row sums to zero, starts with zero below the full-width rows,
-    and alternates in sign off its leftmost column."""
+    """Row i has i+1 entries, sums to zero, starts with zero below the
+    full-width rows, and alternates in sign off its leftmost column."""
     width = shape.rows[0]
     for i, row in enumerate(triangle.iter_row_values(shape), start=1):
+        if len(row) != i + 1:
+            return f"row {i} of {shape} has {len(row)} entries"
         if sum(row) != 0:
             return f"row {i} of {shape} does not sum to zero"
         if shape.rows[i - 1] < width and row[0] != 0:
@@ -112,15 +114,20 @@ def transpose_invariance(shape: FerrersShape) -> str | None:
     orientations.  Both run as given: beta_triangle would run the cheaper one
     for both."""
     if not shape.has_zero_row and (
-        triangle.evaluate(shape.transpose())[0] != triangle.evaluate(shape)[0]
+        triangle.evaluate(shape.transpose()) != triangle.evaluate(shape)
     ):
         return f"counterexample {shape}"
     return None
 
 
-def cost_census(shape: FerrersShape) -> str | None:
-    """The multiplications charged to the streamed rows equal the closed form."""
-    if triangle.evaluate(shape)[1] != triangle.predicted_cost(shape):
+def cost_model(shape: FerrersShape) -> str | None:
+    """predicted_cost is the per-row sum 2 * sum_{i>=2} (i+1) * (d_i+1), and
+    without a zero row predicted_transpose_cost is predicted_cost of the
+    transpose.  No triangle runs."""
+    charged = 2 * sum((i + 1) * (d + 1) for i, d in enumerate(shape.differences(), start=2))
+    if triangle.predicted_cost(shape) != charged or not shape.has_zero_row and (
+        triangle.predicted_transpose_cost(shape) != triangle.predicted_cost(shape.transpose())
+    ):
         return f"counterexample {shape}"
     return None
 

@@ -66,29 +66,26 @@ def beta_triangle(shape: FerrersShape) -> int:
         return 0
     if predicted_transpose_cost(shape) < predicted_cost(shape):
         shape = shape.transpose()
-    return evaluate(shape)[0]
+    return evaluate(shape)
 
 
-def evaluate(shape: FerrersShape) -> tuple[int, int]:
-    """Boolean number of the shape as given, sum_j c(r, j) * j**Lr, and the
-    multiplications the paper's cost model charges for the rows streamed.
+def evaluate(shape: FerrersShape) -> int:
+    """Boolean number of the shape as given, sum_j c(r, j) * j**Lr; only the
+    row being streamed is kept."""
+    for row in iter_row_values(shape):
+        pass
+    bottom = shape.rows[-1]
+    return sum(c * j**bottom for j, c in enumerate(row))
+
+
+def predicted_cost(shape: FerrersShape) -> int:
+    """The multiplications the paper's cost model charges the triangle:
+    2 * sum_{i=2..r} (i+1) * (d_i + 1).
 
     Each update term a * b**d * c is charged d+1 multiplications: d-1 for the
     power by repeated multiplication and two for the products when d >= 1, a
     single product when d = 0.  Row i has i+1 entries of two terms each, so it
-    is charged 2*(i+1)*(d_i+1); predicted_cost sums exactly these charges.
-    """
-    rows = iter_row_values(shape)
-    row = next(rows)
-    muls = 0
-    for d, row in zip(shape.differences(), rows):
-        muls += 2 * len(row) * (d + 1)
-    bottom = shape.rows[-1]
-    return sum(c * j**bottom for j, c in enumerate(row)), muls
-
-
-def predicted_cost(shape: FerrersShape) -> int:
-    """Closed-form multiplication count: 2 * sum_{i=2..r} (i+1) * (d_i + 1).
+    is charged 2*(i+1)*(d_i+1).
 
     Here sum_{i=2..r} (i+1) = (r+1)(r+2)/2 - 3 and, summed by parts,
     sum_{i=2..r} (i+1) * d_i = 2*L1 + n - (r+2)*Lr for a shape of n cells, so

@@ -26,7 +26,7 @@ from ferrersbool import (
     xi_polynomial,
 )
 from ferrersbool import checks
-from ferrersbool.triangle import evaluate, iter_row_values
+from ferrersbool.triangle import iter_row_values
 
 from .conftest import atlas_up_to, bivariate_chromatic_count, xi_at, xi_at_y_minus_one
 from .reference_tables import STAIRCASE_BETAS, TRIANGLE_MIXED, TRIANGLE_STAIRCASE7
@@ -93,21 +93,15 @@ def test_criterion_05_complete_bipartite():
 
 
 def test_criterion_06_complexity_reproduction():
-    with criterion(6, "multiplication count exact on 1000 shapes; n^2/4 + O(n) bound"):
+    with criterion(6, "cost model holds on 1000 shapes; n^2/4 + O(n) bound"):
         rng = random.Random(20260809)
         for _ in range(1000):
             shape = random_shape(rng.randint(1, 200), rng)
-            multiplications = evaluate(shape)[1]
-            rows = shape.rows
-            closed_form = 2 * sum(
-                (i + 1) * (rows[i - 2] - rows[i - 1] + 1)
-                for i in range(2, len(rows) + 1)
-            )
-            assert multiplications == closed_form == predicted_cost(shape)
+            assert checks.cost_model(shape) is None, shape
             normal = shape if shape.row_count <= shape.rows[0] else shape.transpose()
             n = normal.cell_count
             # provable constant: cost <= n^2/4 + 8n + 2, checked in integers
-            assert 4 * evaluate(normal)[1] <= n * n + 32 * n + 8
+            assert 4 * predicted_cost(normal) <= n * n + 32 * n + 8
 
 
 def test_criterion_07_performance_gap():

@@ -399,7 +399,7 @@ VERIFY_CHECKS = [
     "beta-zero-iff-zero-row",
     "triangle-structure",
     "transpose-invariance",
-    "cost-instrumentation",
+    "cost-model",
     "staircase-genocchi",
     "legendre-stirling-triangle",
     "genocchi-ls-identity",
@@ -436,13 +436,23 @@ def test_verify_fails_on_wrong_rank_census(capsys, monkeypatch):
     assert failed[0].startswith("FAIL beta-methods-agree (rank disagrees on ")
 
 
-def test_verify_fails_on_wrong_cost_model(capsys, monkeypatch):
-    right = triangle.predicted_cost
-    monkeypatch.setattr(triangle, "predicted_cost", lambda shape: right(shape) + 1)
+@pytest.mark.parametrize(
+    "route, wrong, check",
+    [
+        ("predicted_cost", lambda v: v + 1, "cost-model (counterexample 0)"),
+        ("predicted_transpose_cost", lambda v: v + 1, "cost-model (counterexample 1)"),
+        # a kernel that adds a column: every row sum and beta stay right
+        ("next_values", lambda v: v + (0,), "triangle-structure (row 2 of 1,0 has 4 entries)"),
+    ],
+    ids=["predicted_cost", "predicted_transpose_cost", "next_values"],
+)
+def test_verify_fails_on_wrong_cost_model(capsys, monkeypatch, route, wrong, check):
+    right = getattr(triangle, route)
+    monkeypatch.setattr(triangle, route, lambda *args: wrong(right(*args)))
     code, out, _ = run(capsys, "verify", "--cells", "3")
     assert code == EXIT_VERIFY
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]
-    assert failed == ["FAIL cost-instrumentation (counterexample 0)"]
+    assert failed == [f"FAIL {check}"]
 
 
 def test_verify_fails_on_wrong_transposed_beta(capsys, monkeypatch):
@@ -451,9 +461,8 @@ def test_verify_fails_on_wrong_transposed_beta(capsys, monkeypatch):
     right = triangle.evaluate
 
     def wrong_when_costlier(shape):
-        value, multiplications = right(shape)
         costlier = triangle.predicted_cost(shape) > triangle.predicted_transpose_cost(shape)
-        return value + costlier, multiplications
+        return right(shape) + costlier
 
     monkeypatch.setattr(triangle, "evaluate", wrong_when_costlier)
     code, out, _ = run(capsys, "verify", "--cells", "3")
@@ -497,27 +506,27 @@ def test_bench_report(capsys):
     code, out, _ = run(capsys, "bench", "--shape", "5", "--shape", "2,1", "--shape", "4,0")
     assert code == EXIT_OK
     lines = out.splitlines()
-    header = lines[0].split("\t")
-    assert header[:7] == [
+    assert lines[0].split("\t") == [
         "shape",
         "cells",
         "rows",
         "orientation",
         "predicted",
-        "multiplications",
-        "check",
+        "t_triangle",
+        "t_edge",
     ]
     data = [line.split("\t") for line in lines[1:]]
+    assert all(len(row) == 7 for row in data)
     # a single row costs nothing and is reported in both orientations;
     # (2,1) is self-transpose; a zero-row shape only appears as given
-    assert data[0][:7] == ["5", "5", "1", "given", "0", "0", "ok"]
-    assert data[1][:7] == ["1,1,1,1,1", "5", "5", "transposed", "36", "36", "ok"]
+    assert data[0][:5] == ["5", "5", "1", "given", "0"]
+    assert data[1][:5] == ["1,1,1,1,1", "5", "5", "transposed", "36"]
     assert [row[3] for row in data] == ["given", "transposed", "given", "given"]
-    assert data[2][:7] == ["2,1", "3", "2", "given", "12", "12", "ok"]
+    assert data[2][:5] == ["2,1", "3", "2", "given", "12"]
     assert data[3][0] == "4,0"
     # deterministic columns do not depend on the timing columns
     code2, out2, _ = run(capsys, "bench", "--shape", "5", "--shape", "2,1", "--shape", "4,0")
-    strip = lambda text: [line.split("\t")[:7] for line in text.splitlines()]
+    strip = lambda text: [line.split("\t")[:5] for line in text.splitlines()]
     assert strip(out) == strip(out2)
 
 
@@ -528,11 +537,11 @@ def test_bench_staircase_cost_closed_form(capsys):
     code, out, _ = run(capsys, "bench", "--shape", text)
     assert code == EXIT_OK
     row = out.splitlines()[1].split("\t")
-    assert row[4] == row[5] == "20592"  # 2 * sum_{i=2..100} (i+1) * 2
+    assert row[4] == "20592"  # 2 * sum_{i=2..100} (i+1) * 2
 
 
 def test_bench_streams_each_orientation_once(capsys, monkeypatch):
-    # the timed run is the charged run: one triangle stream per orientation
+    # one triangle stream per orientation, the timed run
     streamed = []
     right = triangle.iter_row_values
 
