@@ -1,16 +1,15 @@
 """Graph-level oracles: Ferrers graphs, the boolean number edge recursion, and
-the trivariate edge-elimination polynomial.
+the trivariate edge-elimination polynomial xi.
 
 `MultiGraph` is the one graph type: Ferrers graphs, graph files and every
-reduction are edge-multiplicity tuples.  The edge recursion and the
-polynomial are the same three-way recursion (delete, contract, extract an
-edge), and both run on it through the same private edge operations: removing
-copies of an edge, and dropping a vertex or merging it into another in one
-renumbering pass.  Both are step functions of `recursion._memo_walk`, the
-walk behind the row recursion too: the memo, on the exact reduced graph,
-lives inside one call, and depth is limited by memory, not by the
-interpreter.  The polynomial is a plain dict from exponent triples (a, b, c)
-to the coefficient of x^a y^b z^c.
+reduction are edge-multiplicity tuples.  The edge recursion and xi are the
+same three-way recursion (delete, contract, extract an edge) through the same
+private edge operations, and both are step functions of
+`recursion._memo_walk`: the memo, on the exact reduced graph, lives inside
+one call, and depth is limited by memory, not by the interpreter.  The one xi
+step runs over two coefficient rings: dicts from exponent triples (a, b, c) to
+the coefficient of x^a y^b z^c for `xi_polynomial`, and integers at the point
+(0, -1, 1) for `beta_via_xi`.
 
 These paths are intentionally expensive and take any graph they are given;
 they exist to cross-check the triangle engine on desk-scale inputs, and the
@@ -19,8 +18,10 @@ one vertex cap on them is ``checks.oracle_graph``'s.
 
 from __future__ import annotations
 
+import operator
 from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 
 from .recursion import _memo_walk
 from .shapes import FerrersShape
@@ -177,17 +178,19 @@ def beta_edge_recursion(g: MultiGraph) -> int:
 
 
 # ---------------------------------------------------------------------------
-# trivariate edge-elimination polynomial
+# xi, the edge-elimination polynomial, over two rings
 # ---------------------------------------------------------------------------
 
 _Terms = dict[tuple[int, int, int], int]
 
 
-def _sum(p: _Terms, q: _Terms) -> _Terms:
-    """p + q as a new term dict; memo entries are shared, so neither changes."""
-    out = dict(p)
-    for key, coef in q.items():
-        out[key] = out.get(key, 0) + coef
+def _combine(deleted: _Terms, contracted: _Terms, extracted: _Terms) -> _Terms:
+    """deleted + y*contracted + z*extracted as a new dict; shared memo entries stay."""
+    out = dict(deleted)
+    for (a, b, c), k in contracted.items():
+        out[a, b + 1, c] = out.get((a, b + 1, c), 0) + k
+    for (a, b, c), k in extracted.items():
+        out[a, b, c + 1] = out.get((a, b, c + 1), 0) + k
     return out
 
 
@@ -201,8 +204,11 @@ def _product(p: _Terms, q: _Terms) -> _Terms:
     return out
 
 
-def _evaluate(p: _Terms, x: int, y: int, z: int) -> int:
-    return sum(coef * x**a * y**b * z**c for (a, b, c), coef in p.items())
+# An xi ring: (the value of n isolated vertices, the product of component values,
+# the pivot's join of its deleted, contracted and extracted values).  Evaluation is
+# a ring map, so _POINT runs the same step on integers at (x, y, z) = (0, -1, 1).
+_POLYNOMIAL = (lambda n: {(n, 0, 0): 1}, _product, _combine)
+_POINT = (lambda n: int(n == 0), operator.mul, lambda d, c, e: d - c + e)
 
 
 def _components(g: MultiGraph) -> list[MultiGraph]:
@@ -215,12 +221,12 @@ def _components(g: MultiGraph) -> list[MultiGraph]:
         return a
 
     for (u, v), _ in g.edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
+        parent[find(u)] = find(v)
     groups: dict[int, list[int]] = {}
     for v in range(g.vertex_count):
         groups.setdefault(find(v), []).append(v)
+    if len(groups) == 1:  # connected: the step splits nothing
+        return [g]
     comps = []
     for members in sorted(groups.values()):
         index = {v: i for i, v in enumerate(members)}
@@ -229,25 +235,27 @@ def _components(g: MultiGraph) -> list[MultiGraph]:
     return comps
 
 
-def _xi(g: MultiGraph):
+def _xi(ring, g: MultiGraph):
+    edgeless, product, combine = ring
     if not g.edges:
-        return {(g.vertex_count, 0, 0): 1}
+        return edgeless(g.vertex_count)
     comps = _components(g)
     if len(comps) > 1:
-        poly = {(0, 0, 0): 1}
+        value = edgeless(0)
         for comp in comps:
-            poly = _product(poly, (yield comp))
-    else:
-        # Loops first, then the most parallel edge; the lowest pair on ties.
-        # A loop contracts to its deletion, so its first two terms share a graph.
-        (u, v), _ = min(g.edges, key=lambda item: (item[0][0] != item[0][1], -item[1]))
-        deleted = yield _delete(g, u, v)
-        contracted = yield _contract(g, u, v)
-        extracted = yield _extract(g, u, v)
-        # the y and z factors shift an exponent
-        poly = _sum(deleted, {(a, b + 1, c): k for (a, b, c), k in contracted.items()})
-        poly = _sum(poly, {(a, b, c + 1): k for (a, b, c), k in extracted.items()})
-    return poly
+            value = product(value, (yield comp))
+        return value
+    # Loops first, then the most parallel edge; the lowest pair on ties.
+    # A loop contracts to its deletion, so its first two terms share a graph.
+    (u, v), _ = min(g.edges, key=lambda item: (item[0][0] != item[0][1], -item[1]))
+    deleted, contracted = (yield _delete(g, u, v)), (yield _contract(g, u, v))
+    return combine(deleted, contracted, (yield _extract(g, u, v)))
+
+
+def _xi_walk(g: MultiGraph, ring):
+    if g.has_loops():
+        raise ValueError("input graph must be loop-free")
+    return _memo_walk(g, partial(_xi, ring), {})
 
 
 def xi_polynomial(g: MultiGraph) -> _Terms:
@@ -260,14 +268,11 @@ def xi_polynomial(g: MultiGraph) -> _Terms:
     arise only from contracting parallel edges; such a loop deletes or
     contracts to the same loop-free reduction (factor 1 + y) and extracts to
     the graph without its vertex, the standard convention for this recursion.
-    Memoised within the call on the exact reduced form, at any depth; no
-    global state.
     """
-    if g.has_loops():
-        raise ValueError("input graph must be loop-free")
-    return _memo_walk(g, _xi, {})
+    return _xi_walk(g, _POLYNOMIAL)
 
 
 def beta_via_xi(g: MultiGraph) -> int:
-    """beta(G) = (-1)**|G| * xi(G, 0, -1, 1)."""
-    return (-1) ** g.vertex_count * _evaluate(xi_polynomial(g), 0, -1, 1)
+    """beta(G) = (-1)**|G| * xi(G, 0, -1, 1) for a loop-free (multi)graph: the
+    step of `xi_polynomial` runs at that point on integers, building no dict."""
+    return (-1) ** g.vertex_count * _xi_walk(g, _POINT)

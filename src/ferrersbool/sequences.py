@@ -88,32 +88,20 @@ def beta_staircases(n: int, d: int = 1) -> Iterator[int]:
 
 
 def beta_staircase_closed(r: int) -> int:
-    """Closed double sum for the boolean number of the unit staircase."""
+    """The paper's closed double sum for beta of the unit staircase,
+    sum_j (-1)**(r+j) (j!)^2 d(r, j), with each d(r, j) an integer."""
     if r < 1:
         raise ValueError("need r >= 1")
-    total = Fraction(0)
-    for j in range(1, r + 1):
-        for ell in range(1, j + 1):
-            numerator = (
-                (-1) ** (r + ell)
-                * (2 * ell + 1)
-                * (ell * ell + ell) ** r
-                * math.factorial(j) ** 2
-            )
-            denominator = math.factorial(ell + j + 1) * math.factorial(j - ell)
-            total += Fraction(numerator, denominator)
-    return _require_integer(total)
-
-
-def genocchi_ls_identity(r: int) -> tuple[int, int]:
-    """Both sides of g(r) = sum_j (-1)**(r+j) (j!)^2 d(r, j), independently."""
-    if r < 1:
-        raise ValueError("need r >= 1")
-    rhs = sum(
+    return sum(
         (-1) ** (r + j) * math.factorial(j) ** 2 * legendre_stirling(r, j)
         for j in range(1, r + 1)
     )
-    return genocchi2(r), rhs
+
+
+def genocchi_ls_identity(r: int) -> tuple[int, int]:
+    """Both sides of g(r) = sum_j (-1)**(r+j) (j!)^2 d(r, j), independently:
+    the Genocchi recursion and the staircase closed sum."""
+    return genocchi2(r), beta_staircase_closed(r)
 
 
 def _stirling2_row(n: int) -> list[int]:

@@ -78,6 +78,13 @@ def evaluate(shape: FerrersShape) -> int:
     return sum(c * j**bottom for j, c in enumerate(row))
 
 
+def _paper_cost(r: int, width: int, n: int, bottom: int) -> int:
+    """2 * sum_{i=2..r} (i+1) * (d_i + 1) for r rows of n cells, the first
+    `width` long and the last `bottom` long: sum_{i=2..r} (i+1) = (r+1)(r+2)/2 - 3
+    and, by parts, sum_{i=2..r} (i+1) * d_i = 2*width + n - (r+2)*bottom."""
+    return 2 * ((r + 1) * (r + 2) // 2 - 3 + 2 * width + n - (r + 2) * bottom)
+
+
 def predicted_cost(shape: FerrersShape) -> int:
     """The multiplications the paper's cost model charges the triangle:
     2 * sum_{i=2..r} (i+1) * (d_i + 1).
@@ -86,25 +93,14 @@ def predicted_cost(shape: FerrersShape) -> int:
     power by repeated multiplication and two for the products when d >= 1, a
     single product when d = 0.  Row i has i+1 entries of two terms each, so it
     is charged 2*(i+1)*(d_i+1).
-
-    Here sum_{i=2..r} (i+1) = (r+1)(r+2)/2 - 3 and, summed by parts,
-    sum_{i=2..r} (i+1) * d_i = 2*L1 + n - (r+2)*Lr for a shape of n cells, so
-    the count takes one sum over the rows.
     """
     rows = shape.rows
-    r = len(rows)
-    return 2 * ((r + 1) * (r + 2) // 2 - 3 + 2 * rows[0] + sum(rows) - (r + 2) * rows[-1])
+    return _paper_cost(len(rows), rows[0], sum(rows), rows[-1])
 
 
 def predicted_transpose_cost(shape: FerrersShape) -> int:
-    """predicted_cost(shape.transpose()) for a shape with no zero row, in O(r).
-
-    The transpose has L1 rows, and its row i drops by d'_i = #{rows of length
-    i-1}, so its count is 2 * ((L1+1)(L1+2)/2 - 3 + sum_{rows k < L1} (k+2)).
-    With m rows of full length L1, that last sum is n - m*L1 + 2*(r - m).
-    """
+    """predicted_cost(shape.transpose()) for a shape with no zero row, in O(r):
+    the transpose has L1 rows, a first row of r cells, the same n cells, and a
+    last row as long as the number of full-width rows."""
     rows = shape.rows
-    width = rows[0]
-    full = rows.count(width)
-    shorter = sum(rows) - full * width + 2 * (len(rows) - full)
-    return 2 * ((width + 1) * (width + 2) // 2 - 3 + shorter)
+    return _paper_cost(rows[0], len(rows), sum(rows), rows.count(rows[0]))

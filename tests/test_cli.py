@@ -380,17 +380,32 @@ def test_each_graph_oracle_obeys_one_vertex_cap(capsys, tmp_path, method, cap, n
     )
 
 
-@pytest.mark.parametrize(("method", "vertices"), [("edge", 1000), ("xi", 520)])
-def test_graph_oracles_answer_past_the_interpreter_depth(capsys, method, vertices):
-    # one row of 2 over rows of 1: beta is 2 by the triangle, and each oracle
-    # nests one level per vertex, past the interpreter's default depth
-    shape = ",".join(["2"] + ["1"] * (vertices - 3))
+@pytest.mark.parametrize(
+    ("method", "vertices", "source"),
+    [("edge", 1000, "--shape"), ("xi", 520, "--shape"), ("xi", 500, "--graph")],
+    ids=["edge-1000", "xi-520", "xi-500-path"],
+)
+def test_graph_oracles_answer_past_the_interpreter_depth(
+    capsys, tmp_path, method, vertices, source
+):
+    # each oracle nests one level per vertex, past the interpreter's default
+    # depth; a shape is one row of 2 over rows of 1, whose beta is 2 by the
+    # triangle, and a path file is checked against the edge recursion (a memo
+    # of xi term dicts would need gigabytes on it)
     limit = sys.getrecursionlimit()
-    assert run(capsys, "beta", "--shape", shape) == (EXIT_OK, "2\n", "")
     raised = ("--cap-vertices", str(vertices))
-    assert run(capsys, "beta", "--shape", shape, "--method", method, *raised) == (
-        EXIT_OK, "2\n", ""
-    )
+    if source == "--shape":
+        text = ",".join(["2"] + ["1"] * (vertices - 3))
+        expected = run(capsys, "beta", "--shape", text)
+        assert expected == (EXIT_OK, "2\n", "")
+    else:
+        edges = "".join(f"{v} {v + 1}\n" for v in range(vertices - 1))
+        path = tmp_path / "path.txt"
+        path.write_text(f"{vertices} {vertices - 1}\n{edges}")
+        text = str(path)
+        expected = run(capsys, "beta", "--graph", text, "--method", "edge", *raised)
+        assert expected[0] == EXIT_OK and expected[1].strip()
+    assert run(capsys, "beta", source, text, "--method", method, *raised) == expected
     assert sys.getrecursionlimit() == limit
 
 

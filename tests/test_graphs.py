@@ -106,6 +106,8 @@ def test_xi_rejects_loops():
     looped = MultiGraph(1, (((0, 0), 1),))
     with pytest.raises(ValueError):
         xi_polynomial(looped)
+    with pytest.raises(ValueError):
+        beta_via_xi(looped)
 
 
 def test_beta_via_xi_examples():
@@ -159,8 +161,10 @@ def test_all_methods_agree_on_seven_vertex_atlas(atlas_graphs):
 
     for g in atlas_graphs:
         expected = beta_edge_recursion(g)
-        # the point both beta_via_xi and bichromatic_via_xi(g, 0, -1) evaluate
+        # the polynomial at the point bichromatic_via_xi(g, 0, -1) reads, and
+        # the same xi step run on integers at that point
         assert (-1) ** g.vertex_count * xi_at(xi_polynomial(g), 0, -1, 1) == expected
+        assert beta_via_xi(g) == expected
         assert beta_via_rank(g) == expected
 
 
